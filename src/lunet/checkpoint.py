@@ -8,12 +8,14 @@ Layout (all integers and floats little-endian):
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from . import model as model_mod
 from .model import LuNetModel, LuNetSpec
+from .tensor import check_shape
 
 MAGIC = b"LUNET1\0"
 VERSION = 1
@@ -29,15 +31,6 @@ def _write_block(fh, mapping: dict):
     fh.write(text)
 
 
-def _read_block(fh) -> dict:
-    (n,) = struct.unpack("<I", fh.read(4))
-    out = {}
-    for line in fh.read(n).decode("utf-8").splitlines():
-        k, _, v = line.partition("=")
-        out[k] = v
-    return out
-
-
 def _write_tensor(fh, name: str, value: np.ndarray):
     b = name.encode("utf-8")
     fh.write(struct.pack("<H", len(b)))
@@ -46,16 +39,6 @@ def _write_tensor(fh, name: str, value: np.ndarray):
     for d in value.shape:
         fh.write(struct.pack("<I", d))
     fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
-
-
-def _read_tensor(fh):
-    (n,) = struct.unpack("<H", fh.read(2))
-    name = fh.read(n).decode("utf-8")
-    (rank,) = struct.unpack("<B", fh.read(1))
-    dims = [struct.unpack("<I", fh.read(4))[0] for _ in range(rank)]
-    count = int(np.prod(dims)) if dims else 1
-    data = np.frombuffer(fh.read(8 * count), dtype="<f8").copy().reshape(dims)
-    return name, data
 
 
 def save_checkpoint(path, model: LuNetModel, mean: np.ndarray, std: np.ndarray,
@@ -77,37 +60,111 @@ def save_checkpoint(path, model: LuNetModel, mean: np.ndarray, std: np.ndarray,
             _write_tensor(fh, name, value)
 
 
+class _Reader:
+    """Bounds-checked cursor over a checkpoint's bytes: every read either
+    succeeds or raises CheckpointError naming the file and the byte offset."""
+
+    def __init__(self, path, blob: bytes):
+        self.path, self.blob, self.pos = path, blob, 0
+
+    def error(self, msg: str, at: int | None = None) -> CheckpointError:
+        return CheckpointError(f"{self.path} byte {self.pos if at is None else at}: {msg}")
+
+    def take(self, n: int) -> bytes:
+        left = len(self.blob) - self.pos
+        if n > left:
+            raise self.error(f"truncated checkpoint: need {n} bytes, {left} left")
+        self.pos += n
+        return self.blob[self.pos - n:self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, n: int) -> str:
+        at = self.pos
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise self.error(f"bad utf-8 text: {e.reason}", at) from None
+
+    def block(self) -> dict:
+        (n,) = self.unpack("<I")
+        out = {}
+        for line in self.text(n).splitlines():
+            k, _, v = line.partition("=")
+            out[k] = v
+        return out
+
+    def tensor(self) -> tuple[str, np.ndarray]:
+        (n,) = self.unpack("<H")
+        name = self.text(n)
+        at = self.pos
+        (rank,) = self.unpack("<B")
+        dims = self.unpack(f"<{rank}I")
+        try:
+            check_shape(dims)
+        except ValueError as e:
+            raise self.error(f"tensor {name!r}: {e}", at) from None
+        data = np.frombuffer(self.take(8 * math.prod(dims)), dtype="<f8")
+        return name, data.reshape(dims).copy()
+
+
 def load_checkpoint(path):
     """Returns (model, mean, std, class_names, encoded_columns, task).
 
     The rebuilt model reproduces infer-mode outputs of the saved one bitwise.
+    Any unreadable, truncated or inconsistent file raises CheckpointError.
     """
-    with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise CheckpointError(f"{path}: bad checkpoint magic")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        spec = LuNetSpec.from_mapping(_read_block(fh))
-        meta = _read_block(fh)
-        (count,) = struct.unpack("<I", fh.read(4))
-        tensors = dict(_read_tensor(fh) for _ in range(count))
-    model = model_mod.build(spec)
-    for name, layer, pname, value in model.named_params():
+    try:
+        with open(path, "rb") as fh:
+            r = _Reader(path, fh.read())
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {e}") from None
+    if not r.blob.startswith(MAGIC):
+        raise r.error("bad checkpoint magic")
+    r.take(len(MAGIC))
+    (version,) = r.unpack("<I")
+    if version != VERSION:
+        raise r.error(f"unsupported checkpoint version {version}", len(MAGIC))
+    spec_at = r.pos
+    spec_map = r.block()
+    meta_at = r.pos
+    meta = r.block()
+    tensors_at = r.pos
+    (count,) = r.unpack("<I")
+    tensors = dict(r.tensor() for _ in range(count))
+    if r.pos != len(r.blob):
+        raise r.error(f"{len(r.blob) - r.pos} trailing bytes after the last tensor")
+    try:
+        model = model_mod.build(LuNetSpec.from_mapping(spec_map))
+    except (KeyError, ValueError, MemoryError) as e:
+        raise r.error(f"unbuildable model spec: {type(e).__name__}: {e}", spec_at) from None
+    spec = model.spec
+    try:
+        task = meta["task"]
+        class_names = meta["class_names"].split("|")
+        encoded_columns = meta["encoded_columns"].split("|") if meta["encoded_columns"] else []
+    except KeyError as e:
+        raise r.error(f"missing metadata key {e}", meta_at) from None
+    if task not in ("binary", "multi"):
+        raise r.error(f"unknown task {task!r}", meta_at)
+    if len(class_names) != spec.num_classes:
+        raise r.error(f"{len(class_names)} class names for {spec.num_classes} classes", meta_at)
+
+    def stored(name: str, shape: tuple) -> np.ndarray:
         if name not in tensors:
-            raise CheckpointError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != value.shape:
-            raise CheckpointError(f"{path}: tensor {name!r} shape mismatch")
-        layer.params[pname] = tensors[name]
-        layer.grads[pname] = np.zeros_like(tensors[name])
-    for layer in model.layers:
-        for sname, value in layer.state_tensors().items():
-            full = f"{layer.name}.{sname}"
-            if full not in tensors:
-                raise CheckpointError(f"{path}: missing tensor {full!r}")
-            value[...] = tensors[full]
+            raise r.error(f"missing tensor {name!r}", tensors_at)
+        if tensors[name].shape != shape:
+            raise r.error(f"tensor {name!r} has shape {tensors[name].shape}, "
+                          f"expected {shape}", tensors_at)
+        return tensors[name]
+
+    mean = stored("standardize.mean", (spec.input_features,))
+    std = stored("standardize.std", (spec.input_features,))
+    for name, layer, pname, value in model.named_params():
+        layer.params[pname] = stored(name, value.shape)
+        layer.grads[pname] = np.zeros_like(value)
+    for name, value in model.named_state():
+        value[...] = stored(name, value.shape)
     model.set_mode("infer")
-    class_names = meta["class_names"].split("|")
-    encoded_columns = meta["encoded_columns"].split("|") if meta["encoded_columns"] else []
-    return (model, tensors["standardize.mean"], tensors["standardize.std"],
-            class_names, encoded_columns, meta["task"])
+    return model, mean, std, class_names, encoded_columns, task

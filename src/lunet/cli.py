@@ -9,15 +9,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import zip_longest
 
 import numpy as np
 
 from . import model as model_mod
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (SCHEMAS, DataError, DatasetTable, apply_standardization,
-                   fit_standardization, load_csv, prepare_dataset,
-                   stratified_kfold, stratified_subsample, synth_dataset)
+                   load_csv, prepare_dataset, standardize, stratified_kfold,
+                   stratified_subsample, synth_dataset)
 from .metrics import (EvalReport, aggregate_folds, binary_metrics, confusion,
                       confusion_csv, per_class_metrics, render_report)
 from .model import LuNetSpec
@@ -36,31 +37,59 @@ class ConfigError(Exception):
     pass
 
 
+def _int_list(v: str) -> tuple:
+    return tuple(int(x) for x in v.split(","))
+
+
+def _path_list(v: str) -> tuple:
+    return tuple(p for p in v.split(",") if p)
+
+
+def _truthy(v: str) -> bool:
+    return v.lower() in ("1", "true", "yes")
+
+
+def _setting(default, key: str, parse, flag: str | None = None, **argparse_kwargs):
+    """One run setting, declared once: its default, its config-file key, the
+    parser for its text value and, if it has one, its command line flag
+    (`argparse_kwargs` override the flag's defaults, `type=parse`)."""
+    return field(default=default, metadata={
+        "key": key, "parse": parse, "flag": flag, "argparse": argparse_kwargs})
+
+
 @dataclass
 class RunConfig:
-    dataset: str = "synthetic"
-    data_paths: tuple = ()
-    task: str = "binary"
-    folds: int = 10
-    seed: int = 0
-    output_dir: str = "out"
-    subsample: int = 0  # 0 = use everything
-    checkpoint: str = ""
-    levels: tuple = (64, 128, 256)
-    kernel_size: int = 3
-    pool_size: int = 2
-    dropout_rate: float = 0.5
-    final_conv_filters: int = 256
-    epochs: int = 20
-    batch_size: int = 32
-    shuffle: bool = True
-    learning_rate: float = 0.001
-    rho: float = 0.9
-    opt_epsilon: float = 1e-7
-    synth_samples: int = 512
-    synth_features: int = 64
-    synth_separation: float = 4.0
-    synth_classes: int = 0  # 0 = derive from task
+    """Every setting of a run. The field metadata is the one table that the
+    config file parser, the command line flags and their merge all read."""
+
+    dataset: str = _setting("synthetic", "dataset", str, "--dataset",
+                            choices=[*SCHEMAS, "synthetic"])
+    data_paths: tuple = _setting((), "data_path", _path_list, "--data-path",
+                                 type=str, action="append",
+                                 help="dataset CSV; repeat to merge several files")
+    task: str = _setting("binary", "task", str, "--task", choices=["binary", "multi"])
+    folds: int = _setting(10, "folds", int, "--folds")
+    seed: int = _setting(0, "seed", int, "--seed")
+    output_dir: str = _setting("out", "output_dir", str, "--output-dir")
+    subsample: int = _setting(0, "subsample", int, "--subsample",
+                              help="stratified subsample size (0 = all rows)")
+    checkpoint: str = _setting("", "checkpoint", str, "--checkpoint")
+    levels: tuple = _setting((64, 128, 256), "model.levels", _int_list, "--levels",
+                             help="comma-separated level widths")
+    kernel_size: int = _setting(3, "model.kernel_size", int)
+    pool_size: int = _setting(2, "model.pool_size", int)
+    dropout_rate: float = _setting(0.5, "model.dropout_rate", float)
+    final_conv_filters: int = _setting(256, "model.final_conv_filters", int)
+    epochs: int = _setting(20, "train.epochs", int, "--epochs")
+    batch_size: int = _setting(32, "train.batch_size", int, "--batch-size")
+    shuffle: bool = _setting(True, "train.shuffle", _truthy)
+    learning_rate: float = _setting(0.001, "optimizer.learning_rate", float, "--lr")
+    rho: float = _setting(0.9, "optimizer.rho", float)
+    opt_epsilon: float = _setting(1e-7, "optimizer.epsilon", float)
+    synth_samples: int = _setting(512, "synth.samples", int)
+    synth_features: int = _setting(64, "synth.features", int)
+    synth_separation: float = _setting(4.0, "synth.separation", float)
+    synth_classes: int = _setting(0, "synth.classes", int)  # 0 = derive from task
 
     def validate(self, need_folds: bool = False):
         if self.dataset not in ("synthetic", *SCHEMAS):
@@ -77,31 +106,7 @@ class RunConfig:
                     raise ConfigError(f"data path does not exist: {p}")
 
 
-_CONFIG_KEYS = {
-    "dataset": ("dataset", str),
-    "data_path": ("data_paths", lambda v: tuple(p for p in v.split(",") if p)),
-    "task": ("task", str),
-    "folds": ("folds", int),
-    "seed": ("seed", int),
-    "output_dir": ("output_dir", str),
-    "subsample": ("subsample", int),
-    "checkpoint": ("checkpoint", str),
-    "model.levels": ("levels", lambda v: tuple(int(x) for x in v.split(","))),
-    "model.kernel_size": ("kernel_size", int),
-    "model.pool_size": ("pool_size", int),
-    "model.dropout_rate": ("dropout_rate", float),
-    "model.final_conv_filters": ("final_conv_filters", int),
-    "train.epochs": ("epochs", int),
-    "train.batch_size": ("batch_size", int),
-    "train.shuffle": ("shuffle", lambda v: v.lower() in ("1", "true", "yes")),
-    "optimizer.learning_rate": ("learning_rate", float),
-    "optimizer.rho": ("rho", float),
-    "optimizer.epsilon": ("opt_epsilon", float),
-    "synth.samples": ("synth_samples", int),
-    "synth.features": ("synth_features", int),
-    "synth.separation": ("synth_separation", float),
-    "synth.classes": ("synth_classes", int),
-}
+_SETTINGS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
 def parse_config_file(path: str) -> dict:
@@ -115,13 +120,13 @@ def parse_config_file(path: str) -> dict:
                     continue
                 key, sep, value = line.partition("=")
                 key = key.strip()
-                if not sep or key not in _CONFIG_KEYS:
+                if not sep or key not in _SETTINGS:
                     raise ConfigError(f"{path} line {i}: bad config entry {line!r}")
-                attr, conv = _CONFIG_KEYS[key]
+                f = _SETTINGS[key]
                 try:
-                    out[attr] = conv(value.strip())
+                    out[f.name] = f.metadata["parse"](value.strip())
                 except ValueError as e:
-                    raise ConfigError(f"{path} line {i}: {e}") from None
+                    raise ConfigError(f"{path} line {i}: bad {key} value: {e}") from None
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
     return out
@@ -132,23 +137,10 @@ def build_run_config(args) -> RunConfig:
     if args.config:
         cfg = replace(cfg, **parse_config_file(args.config))
     overrides = {}
-    flag_map = {
-        "dataset": "dataset", "task": "task", "folds": "folds", "seed": "seed",
-        "output_dir": "output_dir", "subsample": "subsample",
-        "epochs": "epochs", "batch_size": "batch_size", "lr": "learning_rate",
-        "checkpoint": "checkpoint",
-    }
-    for flag, attr in flag_map.items():
-        v = getattr(args, flag, None)
+    for f in fields(RunConfig):
+        v = getattr(args, f.name, None)
         if v is not None:
-            overrides[attr] = v
-    if getattr(args, "data_path", None):
-        overrides["data_paths"] = tuple(args.data_path)
-    if getattr(args, "levels", None):
-        try:
-            overrides["levels"] = tuple(int(x) for x in args.levels.split(","))
-        except ValueError:
-            raise ConfigError(f"bad --levels value {args.levels!r}") from None
+            overrides[f.name] = tuple(v) if isinstance(v, list) else v
     return replace(cfg, **overrides)
 
 
@@ -188,8 +180,8 @@ def predict_batched(model, features: np.ndarray, chunk: int = 256) -> np.ndarray
 
 def _train_one_fold(cfg: RunConfig, table: DatasetTable, train_idx, val_idx,
                     fold: int):
-    mean, std = fit_standardization(table.features, train_idx)
-    x = apply_standardization(table.features, mean, std)
+    table = standardize(table, train_idx)
+    x, (mean, std) = table.features, table.standardization
     spec = make_spec(cfg, x.shape[1], len(table.class_names), cfg.seed + fold)
     try:
         model = model_mod.build(spec)
@@ -274,10 +266,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if task != cfg.task:
         raise ConfigError(f"checkpoint was trained for task {task!r}, got {cfg.task!r}")
     table = load_run_dataset(cfg)
-    if table.features.shape[1] != mean.shape[0]:
-        raise DataError(
-            f"encoded width mismatch: checkpoint expects {mean.shape[0]} columns, "
-            f"found {table.features.shape[1]}")
+    for i, (want, got) in enumerate(zip_longest(encoded_columns, table.encoded_columns)):
+        if want != got:
+            raise DataError(f"encoded column {i} is {got!r}, but the checkpoint was "
+                            f"trained with {want!r} there")
     # standardization always comes from the checkpoint, never re-fit
     x = apply_standardization(table.features, mean, std)
     pred = predict_batched(model, x)
@@ -311,21 +303,11 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--dataset", choices=["nsl-kdd", "unsw-nb15", "synthetic"])
-        p.add_argument("--data-path", action="append",
-                       help="dataset CSV; repeat to merge several files")
-        p.add_argument("--task", choices=["binary", "multi"])
-        p.add_argument("--folds", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--levels", help="comma-separated level widths")
-        p.add_argument("--subsample", type=int,
-                       help="stratified subsample size (0 = all rows)")
+        for f in fields(RunConfig):
+            if f.metadata["flag"]:
+                p.add_argument(f.metadata["flag"], dest=f.name,
+                               **{"type": f.metadata["parse"], **f.metadata["argparse"]})
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--checkpoint")
 
     for name in ("crossval", "train", "evaluate"):
         add_common(sub.add_parser(name))

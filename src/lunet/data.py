@@ -5,7 +5,6 @@ synthetic blob fixture for offline testing."""
 from __future__ import annotations
 
 import csv
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,10 +31,6 @@ class DatasetSchema:
     @property
     def feature_columns(self):
         return tuple((n, k) for n, k in self.columns if k in (NUMERIC, CATEGORICAL))
-
-    @property
-    def label_column(self):
-        return next(n for n, k in self.columns if k == LABEL)
 
     def normalize_label(self, value: str) -> str:
         return value.strip()
@@ -361,61 +356,3 @@ def synth_dataset(classes: int, samples: int, features: int, separation: float,
     return DatasetTable(features=points, labels=labels,
                         encoded_columns=[f"f{i}" for i in range(features)],
                         class_names=[f"class{i}" for i in range(classes)])
-
-
-TABLE_MAGIC = b"LUNETTBL1"
-
-
-def save_table(path, table: DatasetTable):
-    """Cache an encoded table: magic, column/class metadata, then row-major
-    64-bit little-endian floats. Bit-exact across platforms."""
-
-    def _write_str(fh, s: str):
-        b = s.encode("utf-8")
-        fh.write(struct.pack("<H", len(b)))
-        fh.write(b)
-
-    with open(path, "wb") as fh:
-        fh.write(TABLE_MAGIC)
-        fh.write(struct.pack("<I", len(table.encoded_columns)))
-        for c in table.encoded_columns:
-            _write_str(fh, c)
-        fh.write(struct.pack("<I", len(table.class_names)))
-        for c in table.class_names:
-            _write_str(fh, c)
-        has_std = table.standardization is not None
-        fh.write(struct.pack("<B", int(has_std)))
-        if has_std:
-            mean, std = table.standardization
-            fh.write(np.ascontiguousarray(mean, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(std, dtype="<f8").tobytes())
-        fh.write(struct.pack("<Q", table.features.shape[0]))
-        fh.write(np.ascontiguousarray(table.features, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(table.labels, dtype="<i8").tobytes())
-
-
-def load_table(path) -> DatasetTable:
-    def _read_str(fh):
-        (n,) = struct.unpack("<H", fh.read(2))
-        return fh.read(n).decode("utf-8")
-
-    with open(path, "rb") as fh:
-        if fh.read(len(TABLE_MAGIC)) != TABLE_MAGIC:
-            raise DataError(f"{path}: bad table magic")
-        (n_cols,) = struct.unpack("<I", fh.read(4))
-        encoded_columns = [_read_str(fh) for _ in range(n_cols)]
-        (n_classes,) = struct.unpack("<I", fh.read(4))
-        class_names = [_read_str(fh) for _ in range(n_classes)]
-        (has_std,) = struct.unpack("<B", fh.read(1))
-        standardization = None
-        if has_std:
-            mean = np.frombuffer(fh.read(8 * n_cols), dtype="<f8").copy()
-            std = np.frombuffer(fh.read(8 * n_cols), dtype="<f8").copy()
-            standardization = (mean, std)
-        (n_rows,) = struct.unpack("<Q", fh.read(8))
-        features = np.frombuffer(fh.read(8 * n_rows * n_cols),
-                                 dtype="<f8").copy().reshape(n_rows, n_cols)
-        labels = np.frombuffer(fh.read(8 * n_rows), dtype="<i8").copy()
-    return DatasetTable(features=features, labels=labels,
-                        encoded_columns=encoded_columns, class_names=class_names,
-                        standardization=standardization)

@@ -1,9 +1,11 @@
 """Differentiable layers: 1D convolution, max pooling, batch normalization,
-LSTM, dropout, global average pooling, dense, softmax and the reshape bridge.
+LSTM, dropout, global average pooling, dense and softmax.
 
-Every layer caches its forward activations and exposes `backward(upstream)`
-which returns the gradient w.r.t. the layer input and accumulates parameter
-gradients into `self.grads` (same keys and shapes as `self.params`).
+Every layer but softmax caches its forward activations and exposes
+`backward(upstream)` which returns the gradient w.r.t. the layer input and
+accumulates parameter gradients into `self.grads` (same keys and shapes as
+`self.params`). Softmax has no backward of its own: training enters the stack
+below it with the fused softmax + cross-entropy gradient.
 """
 
 from __future__ import annotations
@@ -386,36 +388,4 @@ class Softmax(Layer):
             raise ValueError(f"{self.name}: expected [batch, classes>=2], got {x.shape}")
         z = x - x.max(axis=1, keepdims=True)
         e = np.exp(z)
-        probs = e / e.sum(axis=1, keepdims=True)
-        self._cache = probs
-        return probs
-
-    def backward(self, upstream):
-        probs = self._require_cache()
-        if upstream.shape != probs.shape:
-            raise ValueError(f"{self.name}: upstream shape {upstream.shape} mismatch")
-        dot = (upstream * probs).sum(axis=1, keepdims=True)
-        return probs * (upstream - dot)
-
-
-class Reshape(Layer):
-    """Element-preserving row-major reinterpretation of [batch, length, c]."""
-
-    def __init__(self, out_len: int, out_ch: int, name: str = "reshape"):
-        super().__init__(name)
-        self.out_len, self.out_ch = out_len, out_ch
-
-    def forward(self, x, mode="train"):
-        if x.ndim != 3:
-            raise ValueError(f"{self.name}: expected rank-3 input, got {x.shape}")
-        b, length, c = x.shape
-        if length * c != self.out_len * self.out_ch:
-            raise ValueError(
-                f"{self.name}: cannot reshape {length}x{c} to {self.out_len}x{self.out_ch}"
-                " (element count mismatch)")
-        self._cache = x.shape
-        return x.reshape(b, self.out_len, self.out_ch)
-
-    def backward(self, upstream):
-        shape = self._require_cache()
-        return upstream.reshape(shape)
+        return e / e.sum(axis=1, keepdims=True)

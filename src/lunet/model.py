@@ -1,5 +1,5 @@
 """LuNet architecture: repeated (Conv1D -> ReLU -> MaxPool -> BatchNorm ->
-LSTM -> reshape) levels with rising widths, then dropout, a final convolution,
+LSTM) levels with rising widths, then dropout, a final convolution,
 global average pooling and a softmax classifier head."""
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import (LSTM, BatchNorm, Conv1D, Dense, Dropout, GlobalAvgPool,
-                     Layer, MaxPool1D, ReLU, Reshape, Softmax)
+                     Layer, MaxPool1D, ReLU, Softmax)
 from .tensor import Rng
 
 
@@ -75,10 +75,6 @@ class LuNetModel:
     mode: str = "train"
     debug_shapes: bool = False
 
-    @property
-    def softmax(self) -> Softmax:
-        return self.layers[-1]
-
     def set_mode(self, mode: str):
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -96,14 +92,13 @@ class LuNetModel:
                 assert out.shape[1:] == shape, (lname, out.shape, shape)
         return out
 
-    def backward(self, delta: np.ndarray, fused_softmax: bool = True) -> np.ndarray:
+    def backward(self, delta: np.ndarray) -> np.ndarray:
         """Propagate a loss gradient through the stack.
 
-        With `fused_softmax`, `delta` is (probs - onehot)/batch and enters
-        below the softmax layer (the fused softmax + cross-entropy adjoint).
+        `delta` is (probs - onehot)/batch and enters below the softmax layer
+        (the fused softmax + cross-entropy adjoint).
         """
-        stack = self.layers[:-1] if fused_softmax else self.layers
-        for layer in reversed(stack):
+        for layer in reversed(self.layers[:-1]):
             delta = layer.backward(delta)
         return delta[:, :, 0]
 
@@ -166,9 +161,6 @@ def build(spec: LuNetSpec) -> LuNetModel:
         push(BatchNorm(width, name=f"{tag}.bn"), (length, width))
         push(LSTM(width, width, init_rng, return_sequences=True, name=f"{tag}.lstm"),
              (length, width))
-        # the LSTM already emits [batch, length, cells]; the bridge is an
-        # identity reinterpretation kept so spec variants can repartition
-        push(Reshape(length, width, name=f"{tag}.reshape"), (length, width))
         channels = width
 
     push(Dropout(spec.dropout_rate, drop_rng, name="head.dropout"), (length, channels))

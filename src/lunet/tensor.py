@@ -1,7 +1,6 @@
-"""Dense float64 tensors (rank 1-3) and the primitive math every layer is built from.
+"""Shape checks, a numerically safe sigmoid and the deterministic random source.
 
-Tensors are plain numpy float64 arrays in row-major order. The helpers here
-enforce the rank/shape/finiteness contracts the rest of the stack relies on.
+Tensors are plain numpy float64 arrays in row-major order.
 """
 
 from __future__ import annotations
@@ -9,9 +8,6 @@ from __future__ import annotations
 import numpy as np
 
 MAX_RANK = 3
-
-ELEMENTWISE_OPS = ("add", "sub", "mul", "div", "max", "scale")
-ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
 
 def check_shape(shape) -> tuple[int, ...]:
@@ -25,67 +21,6 @@ def check_shape(shape) -> tuple[int, ...]:
     return tuple(int(d) for d in shape)
 
 
-def check_finite(t: np.ndarray, what: str = "tensor") -> np.ndarray:
-    if not np.all(np.isfinite(t)):
-        raise FloatingPointError(f"non-finite values in {what}")
-    return t
-
-
-def tensor_new(shape, fill: float = 0.0) -> np.ndarray:
-    """Fresh tensor of the given shape, every element equal to `fill`."""
-    shape = check_shape(shape)
-    if not np.isfinite(fill):
-        raise FloatingPointError("fill value must be finite")
-    return np.full(shape, float(fill), dtype=np.float64)
-
-
-def as_tensor(values) -> np.ndarray:
-    """Coerce nested lists / arrays to a validated float64 tensor."""
-    t = np.asarray(values, dtype=np.float64)
-    check_shape(t.shape)
-    return check_finite(t)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard rank-2 matrix product."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul needs rank-2 operands, got ranks {a.ndim} and {b.ndim}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return check_finite(a @ b, "matmul result")
-
-
-def elementwise(op: str, a: np.ndarray, b) -> np.ndarray:
-    """Element-wise arithmetic between same-shaped tensors or tensor-and-scalar.
-
-    `scale` multiplies by a scalar; `div` rejects any exact-zero divisor
-    instead of producing Inf.
-    """
-    if op not in ELEMENTWISE_OPS:
-        raise ValueError(f"unknown elementwise op {op!r}")
-    b_is_tensor = isinstance(b, np.ndarray)
-    if op == "scale":
-        if b_is_tensor:
-            raise ValueError("scale takes a scalar second operand")
-        return check_finite(a * float(b), "scale result")
-    if b_is_tensor and a.shape != b.shape:
-        raise ValueError(f"elementwise shape mismatch: {a.shape} vs {b.shape}")
-    if op == "div":
-        if (b_is_tensor and np.any(b == 0.0)) or (not b_is_tensor and float(b) == 0.0):
-            raise ZeroDivisionError("elementwise div by exact zero")
-    if op == "add":
-        out = a + b
-    elif op == "sub":
-        out = a - b
-    elif op == "mul":
-        out = a * b
-    elif op == "div":
-        out = a / b
-    else:  # max
-        out = np.maximum(a, b)
-    return check_finite(out, f"elementwise {op} result")
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # split on sign so exp never overflows
     out = np.empty_like(x)
@@ -94,17 +29,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def map_activation(kind: str, x: np.ndarray) -> np.ndarray:
-    """Element-wise relu / sigmoid / tanh."""
-    if kind == "relu":
-        return np.maximum(0.0, x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "tanh":
-        return np.tanh(x)
-    raise ValueError(f"unknown activation {kind!r}")
 
 
 class Rng:
@@ -131,11 +55,3 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
-
-
-def rng_normal(rng: Rng, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-    """Deterministic-per-seed Gaussian draws."""
-    return rng.normal(shape, mean, std)

@@ -173,14 +173,6 @@ def gradient_check(loss_fn, entries: dict[str, tuple[np.ndarray, np.ndarray]],
     return report
 
 
-def layer_gradient_entries(layer, x: np.ndarray, include_input: bool = True):
-    """(value, grad) map for a layer's parameters plus the probe input."""
-    entries = {f"{layer.name}.{p}": (layer.params[p], layer.grads[p]) for p in layer.params}
-    if include_input:
-        entries["input"] = (x, np.zeros_like(x))
-    return entries
-
-
 def model_gradient_check(model: LuNetModel, x: np.ndarray, labels: np.ndarray,
                          samples: int = 25, seed: int = 0) -> dict[str, float]:
     """Finite-difference check of the whole stack through the fused
@@ -249,7 +241,6 @@ def standard_gradient_suite(corrupt: str | None = None, samples: int = 50) -> di
     check("dense", L.Dense(4, 3, Rng(4)), data_rng.normal((2, 4)))
     check("relu", L.ReLU(), data_rng.normal((2, 6, 3)))
     check("gap", L.GlobalAvgPool(), data_rng.normal((2, 6, 3)))
-    check("reshape", L.Reshape(3, 4), data_rng.normal((2, 6, 2)))
 
     drop = L.Dropout(0.5, Rng(6))
     x = data_rng.normal((3, 8))

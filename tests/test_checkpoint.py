@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lunet import LuNetSpec, build
 from lunet.checkpoint import (MAGIC, CheckpointError, load_checkpoint,
@@ -86,5 +88,57 @@ class TestErrors:
         save_default(path, model)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises((CheckpointError, Exception)):
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path, trained_model):
+        model, _ = trained_model
+        path = tmp_path / "m.lunet"
+        save_default(path, model)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_standardize_shape_checked(self, tmp_path, trained_model):
+        model, _ = trained_model
+        path = tmp_path / "m.lunet"
+        save_checkpoint(path, model, np.zeros(15), np.ones(15), ["a", "b", "c"],
+                        [f"col{i}" for i in range(16)], "multi")
+        with pytest.raises(CheckpointError, match="standardize.mean"):
+            load_checkpoint(path)
+
+    def test_class_name_count_checked(self, tmp_path, trained_model):
+        model, _ = trained_model
+        path = tmp_path / "m.lunet"
+        save_checkpoint(path, model, np.zeros(16), np.ones(16), ["a", "b"],
+                        [f"col{i}" for i in range(16)], "multi")
+        with pytest.raises(CheckpointError, match="2 class names for 3 classes"):
+            load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def valid_blob(tmp_path_factory):
+    model = build(LuNetSpec(input_features=16, num_classes=3, levels=(4,),
+                            final_conv_filters=4, init_seed=2))
+    path = tmp_path_factory.mktemp("valid") / "m.lunet"
+    save_default(path, model)
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_corrupt_checkpoint_loads_or_raises_checkpoint_error(valid_blob, tmp_path_factory,
+                                                             data):
+    n = len(valid_blob)
+    if data.draw(st.booleans(), label="truncate"):
+        blob = valid_blob[:data.draw(st.integers(0, n - 1), label="length")]
+    else:
+        at = data.draw(st.integers(0, n - 1), label="offset")
+        flipped = valid_blob[at] ^ data.draw(st.integers(1, 255), label="xor")
+        blob = valid_blob[:at] + bytes([flipped]) + valid_blob[at + 1:]
+    path = tmp_path_factory.getbasetemp() / "fuzz.lunet"
+    path.write_bytes(blob)
+    try:
+        load_checkpoint(path)
+    except CheckpointError as e:
+        assert str(path) in str(e) and "byte" in str(e)

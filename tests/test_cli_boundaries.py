@@ -1,0 +1,72 @@
+"""Command line boundaries: the settings table, mismatched evaluation columns
+and corrupt checkpoints each end in their documented exit code."""
+
+from dataclasses import fields
+
+import pytest
+
+from lunet.cli import (EXIT_DATA, EXIT_OK, ConfigError, RunConfig,
+                       build_run_config, main, make_parser, parse_config_file)
+
+
+def write_nsl(path, services):
+    """Twelve NSL-KDD rows, half normal and half neptune, cycling `services`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(12):
+            cells = [str(i), "tcp", services[i % len(services)], "SF"] + ["0"] * 37
+            fh.write(",".join(cells + ["normal" if i % 2 else "neptune", "20"]) + "\n")
+
+
+@pytest.fixture(scope="module")
+def nsl_run(tmp_path_factory):
+    """A checkpoint trained on services {ftp,http}; returns (dir, common argv)."""
+    d = tmp_path_factory.mktemp("nsl")
+    write_nsl(d / "ftp_http.csv", ["ftp", "http"])
+    write_nsl(d / "http_smtp.csv", ["http", "smtp"])
+    common = ["--dataset", "nsl-kdd", "--task", "binary", "--levels", "4",
+              "--epochs", "1", "--batch-size", "4"]
+    assert main(["train", *common, "--data-path", str(d / "ftp_http.csv"),
+                 "--checkpoint", str(d / "model.lunet"),
+                 "--output-dir", str(d / "train")]) == EXIT_OK
+    return d, common
+
+
+def evaluate(nsl_run, csv_name, ckpt_name="model.lunet"):
+    d, common = nsl_run
+    return main(["evaluate", *common, "--data-path", str(d / csv_name),
+                 "--checkpoint", str(d / ckpt_name), "--output-dir", str(d / "eval")])
+
+
+def test_evaluate_accepts_the_training_columns(nsl_run):
+    assert evaluate(nsl_run, "ftp_http.csv") == EXIT_OK
+
+
+def test_evaluate_rejects_shifted_columns_of_equal_width(nsl_run, capsys):
+    capsys.readouterr()
+    assert evaluate(nsl_run, "http_smtp.csv") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "'service=http'" in err and "'service=ftp'" in err
+
+
+def test_truncated_checkpoint_exits_3(nsl_run, capsys):
+    d, _ = nsl_run
+    blob = (d / "model.lunet").read_bytes()
+    (d / "short.lunet").write_bytes(blob[:len(blob) // 2])
+    capsys.readouterr()
+    assert evaluate(nsl_run, "ftp_http.csv", "short.lunet") == EXIT_DATA
+    assert "truncated" in capsys.readouterr().err
+
+
+def test_settings_table_declares_every_key_and_flag_once():
+    keys = [f.metadata["key"] for f in fields(RunConfig)]
+    flags = [f.metadata["flag"] for f in fields(RunConfig) if f.metadata["flag"]]
+    assert len(keys) == len(set(keys)) == 23
+    assert len(flags) == len(set(flags)) == 12  # plus --config
+    assert build_run_config(make_parser().parse_args(["train"])) == RunConfig()
+
+
+def test_bad_config_value_names_key_and_line(tmp_path):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("folds = 4\ntrain.epochs = lots\n")
+    with pytest.raises(ConfigError, match="line 2: bad train.epochs value"):
+        parse_config_file(str(cfg_file))

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from lunet.data import (NSL_KDD, UNSW_NB15, DataError, encode_categorical,
                         fit_standardization, apply_standardization, load_csv,
-                        load_table, make_labels, prepare_dataset, save_table,
-                        standardize, stratified_kfold, stratified_subsample,
-                        synth_dataset)
+                        make_labels, standardize, stratified_kfold,
+                        stratified_subsample, synth_dataset)
 
 NSL_ROW = (["0", "tcp", "http", "SF"] + ["0"] * 37)[:41]
 
@@ -246,25 +245,3 @@ class TestSynthDataset:
     def test_separation_must_be_positive(self):
         with pytest.raises(ValueError):
             synth_dataset(2, 10, 4, 0.0, seed=0)
-
-
-class TestTableCache:
-    def test_round_trip_bit_exact(self, tmp_path, nsl_file):
-        raw = load_csv(nsl_file, NSL_KDD)
-        table = prepare_dataset(raw, "multi")
-        table = standardize(table, np.arange(table.features.shape[0]))
-        path = tmp_path / "cache.lunettbl"
-        save_table(path, table)
-        loaded = load_table(path)
-        np.testing.assert_array_equal(loaded.features, table.features)
-        np.testing.assert_array_equal(loaded.labels, table.labels)
-        assert loaded.encoded_columns == table.encoded_columns
-        assert loaded.class_names == table.class_names
-        np.testing.assert_array_equal(loaded.standardization[0],
-                                      table.standardization[0])
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.lunettbl"
-        path.write_bytes(b"NOTLUNET" + b"\0" * 64)
-        with pytest.raises(DataError, match="magic"):
-            load_table(path)

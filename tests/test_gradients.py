@@ -11,7 +11,7 @@ from lunet.tensor import Rng
 def test_standard_suite_within_tolerance():
     results = standard_gradient_suite()
     expected = {"conv1d", "maxpool", "batchnorm", "lstm", "dense", "relu", "gap",
-                "reshape", "dropout", "softmax_xent", "lunet_1block"}
+                "dropout", "softmax_xent", "lunet_1block"}
     assert set(results) == expected
     for name, err in results.items():
         assert err < 1e-4, f"{name}: {err}"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lunet.layers import (LSTM, BatchNorm, Conv1D, Dense, Dropout,
-                          GlobalAvgPool, MaxPool1D, ReLU, Reshape, Softmax)
+                          GlobalAvgPool, MaxPool1D, ReLU, Softmax)
 from lunet.tensor import Rng, sigmoid
 
 
@@ -305,24 +305,6 @@ class TestSoftmax:
         a = Softmax().forward(x)
         b = Softmax().forward(x + 17.0)
         assert np.max(np.abs(a - b)) < 1e-12
-
-
-class TestReshape:
-    def test_flat_order_preserved(self):
-        x = np.arange(6, dtype=np.float64).reshape(1, 6, 1)
-        out = Reshape(3, 2).forward(x)
-        np.testing.assert_array_equal(out.ravel(), np.arange(6))
-        assert out.shape == (1, 3, 2)
-
-    def test_round_trip(self):
-        x = Rng(1).normal((2, 6, 2))
-        mid = Reshape(4, 3).forward(x)
-        back = Reshape(6, 2).forward(mid)
-        np.testing.assert_array_equal(back, x)
-
-    def test_count_mismatch(self):
-        with pytest.raises(ValueError):
-            Reshape(3, 2).forward(np.zeros((1, 4, 1)))
 
 
 class TestBackwardContracts:

@@ -1,0 +1,67 @@
+"""Every name that `src/lunet` defines has a caller in `src/lunet` itself.
+
+A module-level function, class or constant, or a method, that only tests
+reach is dead weight: this walks the package with `ast` and fails on any
+definition no `Name`, `Attribute` or import in the package refers to.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lunet"
+
+# Kept without a production caller, each for the reason given.
+ALLOWED = {
+    # the reference parser that the acceptance gate and the CLI tests read
+    # report.jsonl back with; it proves the report format round-trips
+    "parse_report",
+}
+
+
+def _assigned(node):
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    for t in targets:
+        for n in ast.walk(t):
+            if isinstance(n, ast.Name):
+                yield n.id
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, bare name) of every module-level function, class and
+    constant, and every method and class-level constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for name in _assigned(node):
+                yield name, name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item.name
+                elif isinstance(item, ast.Assign):
+                    for name in _assigned(item):
+                        yield f"{node.name}.{name}", name
+
+
+def references(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_src_name_has_a_production_caller():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    used = {name for tree in trees.values() for name in references(tree)}
+    unused = sorted(
+        f"{module}:{qualified}"
+        for module, tree in trees.items()
+        for qualified, bare in definitions(tree)
+        if not (bare.startswith("__") and bare.endswith("__"))
+        and bare not in used and bare not in ALLOWED)
+    assert not unused, f"defined in src/lunet but never used there: {unused}"
+    assert not ALLOWED & used, "an allowlisted name gained a caller; drop it from ALLOWED"

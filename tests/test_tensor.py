@@ -1,122 +1,52 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from lunet.tensor import (Rng, elementwise, map_activation, matmul, rng_normal,
-                          tensor_new)
+from lunet.layers import ReLU
+from lunet.tensor import Rng, check_shape, sigmoid
 
 
-class TestTensorNew:
-    def test_zero_fill(self):
-        np.testing.assert_array_equal(tensor_new([2, 2], 0.0), [[0, 0], [0, 0]])
-
-    def test_constant_fill(self):
-        np.testing.assert_array_equal(tensor_new([3], 1.5), [1.5, 1.5, 1.5])
-
+class TestCheckShape:
     def test_degenerate_dim_rejected(self):
         with pytest.raises(ValueError):
-            tensor_new([2, 0])
+            check_shape([2, 0])
 
     def test_rank_cap(self):
         with pytest.raises(ValueError):
-            tensor_new([2, 2, 2, 2])
+            check_shape([2, 2, 2, 2])
         with pytest.raises(ValueError):
-            tensor_new([])
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), a), a)
-
-    def test_dot_product(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        np.testing.assert_array_equal(out, [[11.0]])
-
-    def test_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_against_triple_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        a, b = rng.normal(size=(8, 8)), rng.normal(size=(8, 8))
-        expected = np.zeros((8, 8))
-        for i in range(8):
-            for j in range(8):
-                for k in range(8):
-                    expected[i, j] += a[i, k] * b[k, j]
-        assert np.max(np.abs(matmul(a, b) - expected)) < 1e-12
-
-
-class TestElementwise:
-    def test_add(self):
-        np.testing.assert_array_equal(
-            elementwise("add", np.array([1.0, 2.0]), np.array([3.0, 4.0])), [4, 6])
-
-    def test_mul(self):
-        np.testing.assert_array_equal(
-            elementwise("mul", np.array([1.0, 2.0]), np.array([0.0, 5.0])), [0, 10])
-
-    def test_div_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            elementwise("div", np.array([1.0]), np.array([0.0]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            elementwise("add", np.zeros(2), np.zeros(3))
-
-    def test_max_and_scale(self):
-        np.testing.assert_array_equal(
-            elementwise("max", np.array([1.0, 5.0]), np.array([3.0, 2.0])), [3, 5])
-        np.testing.assert_array_equal(
-            elementwise("scale", np.array([1.0, 2.0]), 2.0), [2, 4])
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))
-    def test_add_associative(self, values):
-        a = np.asarray(values)
-        b, c = a[::-1].copy(), a * 0.5
-        lhs = elementwise("add", elementwise("add", a, b), c)
-        rhs = elementwise("add", a, elementwise("add", b, c))
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
+            check_shape([])
 
 
 class TestActivations:
     def test_relu(self):
         np.testing.assert_array_equal(
-            map_activation("relu", np.array([-1.0, 0.0, 2.0])), [0, 0, 2])
+            ReLU().forward(np.array([-1.0, 0.0, 2.0])), [0, 0, 2])
 
     def test_sigmoid_at_zero(self):
-        np.testing.assert_array_equal(map_activation("sigmoid", np.array([0.0])), [0.5])
-
-    def test_tanh_at_zero(self):
-        np.testing.assert_array_equal(map_activation("tanh", np.array([0.0])), [0.0])
+        np.testing.assert_array_equal(sigmoid(np.array([0.0])), [0.5])
 
     def test_ranges(self):
         x = np.linspace(-30, 30, 201)
-        assert np.all(map_activation("relu", x) >= 0)
-        s = map_activation("sigmoid", x)
+        assert np.all(ReLU().forward(x) >= 0)
+        s = sigmoid(x)
         assert np.all((s > 0) & (s < 1))
-        t = map_activation("tanh", x)
-        assert np.all((t >= -1) & (t <= 1))
 
 
 class TestRng:
     def test_zero_std_gives_mean(self):
-        out = rng_normal(Rng(1), [4], mean=2.5, std=0.0)
+        out = Rng(1).normal([4], mean=2.5, std=0.0)
         np.testing.assert_array_equal(out, [2.5] * 4)
 
     def test_same_seed_identical(self):
-        a = rng_normal(Rng(9), [3, 3], 0.0, 1.0)
-        b = rng_normal(Rng(9), [3, 3], 0.0, 1.0)
+        a = Rng(9).normal([3, 3], 0.0, 1.0)
+        b = Rng(9).normal([3, 3], 0.0, 1.0)
         np.testing.assert_array_equal(a, b)
 
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError):
-            rng_normal(Rng(1), [2], 0.0, -1.0)
+            Rng(1).normal([2], 0.0, -1.0)
 
     def test_law_of_large_numbers(self):
-        draws = rng_normal(Rng(123), [100000], 0.0, 1.0)
+        draws = Rng(123).normal([100000], 0.0, 1.0)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.std() - 1.0) < 0.02
