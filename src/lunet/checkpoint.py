@@ -4,6 +4,11 @@ running statistics, and the standardization constants needed for evaluation.
 Layout (all integers and floats little-endian):
   magic "LUNET1\\0" | u32 version | spec key=value block | meta key=value block
   | u32 tensor count | tensors (u16 name len, name, u8 rank, u32 dims, f64 data)
+
+Version 2 stores each LSTM as gate-stacked `levelK.lstm.U`, `.W` and `.b`
+with the gates as column blocks p|g|f|q. Version 1 stored one tensor per
+gate (`levelK.lstm.U_p`, ..., `.b_q`); it still loads, and the loader stacks
+the four gate tensors in p|g|f|q order.
 """
 
 from __future__ import annotations
@@ -14,11 +19,12 @@ import struct
 import numpy as np
 
 from . import model as model_mod
+from .layers import LSTM
 from .model import LuNetModel, LuNetSpec
 from .tensor import check_shape
 
 MAGIC = b"LUNET1\0"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -124,7 +130,7 @@ def load_checkpoint(path):
         raise r.error("bad checkpoint magic")
     r.take(len(MAGIC))
     (version,) = r.unpack("<I")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise r.error(f"unsupported checkpoint version {version}", len(MAGIC))
     spec_at = r.pos
     spec_map = r.block()
@@ -162,7 +168,12 @@ def load_checkpoint(path):
     mean = stored("standardize.mean", (spec.input_features,))
     std = stored("standardize.std", (spec.input_features,))
     for name, layer, pname, value in model.named_params():
-        layer.params[pname] = stored(name, value.shape)
+        if version == 1 and isinstance(layer, LSTM):
+            gate_shape = value.shape[:-1] + (layer.cells,)
+            layer.params[pname] = np.concatenate(
+                [stored(f"{name}_{gate}", gate_shape) for gate in "pgfq"], axis=-1)
+        else:
+            layer.params[pname] = stored(name, value.shape)
         layer.grads[pname] = np.zeros_like(value)
     for name, value in model.named_state():
         value[...] = stored(name, value.shape)

@@ -210,31 +210,21 @@ class LSTM(Layer):
     Each sub-net computes b + x(t) @ U + h(t-1) @ W; the cell state update is
     s(t) = sigmoid(f) * s(t-1) + sigmoid(p) * tanh(g) and the output is
     h(t) = tanh(s(t)) * sigmoid(q). State starts at zeros for every sequence.
+    The four sub-nets are stored gate-stacked: U [in, 4c], W [c, 4c] and
+    b [4c] hold the gates as column blocks in the order p|g|f|q, so a step
+    makes one h @ W product and the input products are made for all
+    timesteps before the loop.
     """
 
-    GATES = ("p", "g", "f", "q")
-
-    def __init__(self, in_dim: int, cells: int, rng: Rng, return_sequences: bool = True,
-                 name: str = "lstm"):
+    def __init__(self, in_dim: int, cells: int, rng: Rng, name: str = "lstm"):
         super().__init__(name)
         self.in_dim, self.cells = in_dim, cells
-        self.return_sequences = return_sequences
-        for gate in self.GATES:
-            self.add_param(f"U_{gate}", rng.normal((in_dim, cells), 0.0, 0.1))
-            self.add_param(f"W_{gate}", rng.normal((cells, cells), 0.0, 0.1))
-            self.add_param(f"b_{gate}", np.zeros(cells))
-
-    def step(self, x_t: np.ndarray, h_prev: np.ndarray, s_prev: np.ndarray):
-        """Single cell update; returns (h_t, s_t). Does not cache anything."""
-        if x_t.ndim != 2 or x_t.shape[1] != self.in_dim:
-            raise ValueError(f"{self.name}: expected [batch, {self.in_dim}] input, got {x_t.shape}")
-        if h_prev.shape != s_prev.shape or h_prev.shape != (x_t.shape[0], self.cells):
-            raise ValueError(f"{self.name}: state shape mismatch")
-        p = self.params
-        a = {g: p[f"b_{g}"] + x_t @ p[f"U_{g}"] + h_prev @ p[f"W_{g}"] for g in self.GATES}
-        s_t = sigmoid(a["f"]) * s_prev + sigmoid(a["p"]) * np.tanh(a["g"])
-        h_t = np.tanh(s_t) * sigmoid(a["q"])
-        return h_t, s_t
+        # drawn gate by gate (U_p, W_p, U_g, W_g, ...), then stacked
+        draws = [(rng.normal((in_dim, cells), 0.0, 0.1), rng.normal((cells, cells), 0.0, 0.1))
+                 for _ in range(4)]
+        self.add_param("U", np.concatenate([u for u, _ in draws], axis=1))
+        self.add_param("W", np.concatenate([w for _, w in draws], axis=1))
+        self.add_param("b", np.zeros(4 * cells))
 
     def forward(self, x, mode="train"):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
@@ -242,63 +232,50 @@ class LSTM(Layer):
         b, length, _ = x.shape
         if length < 1:
             raise ValueError(f"{self.name}: empty sequence")
-        p = self.params
-        h = np.zeros((b, self.cells))
-        s = np.zeros((b, self.cells))
-        steps = []
-        hs = np.empty((b, length, self.cells))
+        c, p = self.cells, self.params
+        # b + x(t) @ U for every t, overwritten step by step with the gate
+        # activations sigmoid(p) | tanh(g) | sigmoid(f) | sigmoid(q)
+        gates = (p["b"] + x.reshape(-1, self.in_dim) @ p["U"]).reshape(b, length, 4 * c)
+        hs = np.zeros((b, length + 1, c))  # hs[:, t] is h(t-1); the first is the zero state
+        ss = np.zeros((b, length + 1, c))
         for t in range(length):
-            # same expression order as step(), so chaining is bitwise exact
-            x_t = x[:, t, :]
-            a = {g: p[f"b_{g}"] + x_t @ p[f"U_{g}"] + h @ p[f"W_{g}"]
-                 for g in self.GATES}
-            i_g = sigmoid(a["p"])
-            g_g = np.tanh(a["g"])
-            f_g = sigmoid(a["f"])
-            q_g = sigmoid(a["q"])
-            s_new = f_g * s + i_g * g_g
-            ts = np.tanh(s_new)
-            h_new = ts * q_g
-            steps.append((h, s, i_g, g_g, f_g, q_g, ts))
-            h, s = h_new, s_new
-            hs[:, t, :] = h
-        self._cache = (x, steps)
-        return hs if self.return_sequences else hs[:, -1, :]
+            z = gates[:, t]
+            a = z + hs[:, t] @ p["W"]
+            z[...] = sigmoid(a)
+            z[:, c:2 * c] = np.tanh(a[:, c:2 * c])
+            i_g, g_g, f_g, q_g = np.split(z, 4, axis=1)
+            ss[:, t + 1] = f_g * ss[:, t] + i_g * g_g
+            hs[:, t + 1] = np.tanh(ss[:, t + 1]) * q_g
+        self._cache = (x, gates, hs, ss)
+        return hs[:, 1:]
 
     def backward(self, upstream):
-        x, steps = self._require_cache()
+        x, gates, hs, ss = self._require_cache()
         b, length, _ = x.shape
-        if self.return_sequences:
-            if upstream.shape != (b, length, self.cells):
-                raise ValueError(f"{self.name}: upstream shape {upstream.shape} mismatch")
-        elif upstream.shape != (b, self.cells):
+        c, p, g = self.cells, self.params, self.grads
+        if upstream.shape != (b, length, c):
             raise ValueError(f"{self.name}: upstream shape {upstream.shape} mismatch")
-        p, g = self.params, self.grads
-        dx = np.zeros_like(x)
-        dh_next = np.zeros((b, self.cells))
-        ds_next = np.zeros((b, self.cells))
+        da = np.empty_like(gates)
+        dh_next = np.zeros((b, c))
+        ds_next = np.zeros((b, c))
+        tanh_s = np.tanh(ss[:, 1:])
         for t in reversed(range(length)):
-            h_prev, s_prev, i_g, g_g, f_g, q_g, ts = steps[t]
-            dh = dh_next.copy()
-            if self.return_sequences:
-                dh += upstream[:, t, :]
-            elif t == length - 1:
-                dh += upstream
-            da_q = dh * ts * q_g * (1 - q_g)
+            i_g, g_g, f_g, q_g = np.split(gates[:, t], 4, axis=1)
+            da_p, da_g, da_f, da_q = np.split(da[:, t], 4, axis=1)
+            ts = tanh_s[:, t]
+            dh = upstream[:, t] + dh_next
+            da_q[...] = dh * ts * q_g * (1 - q_g)
             ds = dh * q_g * (1 - ts * ts) + ds_next
-            da_f = ds * s_prev * f_g * (1 - f_g)
-            da_p = ds * g_g * i_g * (1 - i_g)
-            da_g = ds * i_g * (1 - g_g * g_g)
+            da_f[...] = ds * ss[:, t] * f_g * (1 - f_g)
+            da_p[...] = ds * g_g * i_g * (1 - i_g)
+            da_g[...] = ds * i_g * (1 - g_g * g_g)
             ds_next = ds * f_g
-            dh_next = np.zeros((b, self.cells))
-            x_t = x[:, t, :]
-            for gate, da in (("p", da_p), ("g", da_g), ("f", da_f), ("q", da_q)):
-                g[f"U_{gate}"] += x_t.T @ da
-                g[f"W_{gate}"] += h_prev.T @ da
-                g[f"b_{gate}"] += da.sum(axis=0)
-                dx[:, t, :] += da @ p[f"U_{gate}"].T
-                dh_next += da @ p[f"W_{gate}"].T
-        return dx
+            dh_next = da[:, t] @ p["W"].T
+        da = da.reshape(-1, 4 * c)
+        g["U"] += x.reshape(-1, self.in_dim).T @ da
+        g["W"] += hs[:, :-1].reshape(-1, c).T @ da
+        g["b"] += da.sum(axis=0)
+        return (da @ p["U"].T).reshape(x.shape)
 
 
 class Dropout(Layer):

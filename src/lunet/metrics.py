@@ -15,10 +15,6 @@ class ConfusionMatrix:
     counts: np.ndarray  # [classes, classes] int64; rows = actual, cols = predicted
     class_names: list
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass
 class MetricSet:

@@ -71,9 +71,7 @@ class LuNetSpec:
 class LuNetModel:
     spec: LuNetSpec
     layers: list[Layer] = field(default_factory=list)
-    shape_trace: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
     mode: str = "train"
-    debug_shapes: bool = False
 
     def set_mode(self, mode: str):
         if mode not in ("train", "infer"):
@@ -86,10 +84,8 @@ class LuNetModel:
             raise ValueError(
                 f"expected [batch, {self.spec.input_features}] input, got {x.shape}")
         out = x[:, :, None]
-        for layer, (lname, shape) in zip(self.layers, self.shape_trace):
+        for layer in self.layers:
             out = layer.forward(out, mode=self.mode)
-            if self.debug_shapes:
-                assert out.shape[1:] == shape, (lname, out.shape, shape)
         return out
 
     def backward(self, delta: np.ndarray) -> np.ndarray:
@@ -131,17 +127,12 @@ class LuNetModel:
 
 
 def build(spec: LuNetSpec) -> LuNetModel:
-    """Instantiate the layer stack and verify shape agreement level by level."""
+    """Instantiate the layer stack; fail, naming the level, where the input
+    length runs out."""
     init_rng = Rng(spec.init_seed)
     drop_rng = Rng(spec.init_seed + 1)
     layers: list[Layer] = []
-    trace: list[tuple[str, tuple[int, ...]]] = []
     length, channels = spec.input_features, 1
-
-    def push(layer: Layer, shape: tuple[int, ...]):
-        layers.append(layer)
-        trace.append((layer.name, shape))
-
     for k, width in enumerate(spec.levels):
         tag = f"level{k}"
         if length < spec.kernel_size:
@@ -149,32 +140,27 @@ def build(spec: LuNetSpec) -> LuNetModel:
                 f"input length exhausted at {tag}: conv needs length >= "
                 f"{spec.kernel_size}, have {length}")
         length = length - spec.kernel_size + 1
-        push(Conv1D(channels, width, spec.kernel_size, init_rng, name=f"{tag}.conv"),
-             (length, width))
-        push(ReLU(name=f"{tag}.relu"), (length, width))
+        layers += [Conv1D(channels, width, spec.kernel_size, init_rng, name=f"{tag}.conv"),
+                   ReLU(name=f"{tag}.relu")]
         if length < spec.pool_size:
             raise ValueError(
                 f"input length exhausted at {tag}: pool needs length >= "
                 f"{spec.pool_size}, have {length}")
         length = length // spec.pool_size
-        push(MaxPool1D(spec.pool_size, name=f"{tag}.pool"), (length, width))
-        push(BatchNorm(width, name=f"{tag}.bn"), (length, width))
-        push(LSTM(width, width, init_rng, return_sequences=True, name=f"{tag}.lstm"),
-             (length, width))
+        layers += [MaxPool1D(spec.pool_size, name=f"{tag}.pool"),
+                   BatchNorm(width, name=f"{tag}.bn"),
+                   LSTM(width, width, init_rng, name=f"{tag}.lstm")]
         channels = width
 
-    push(Dropout(spec.dropout_rate, drop_rng, name="head.dropout"), (length, channels))
+    layers.append(Dropout(spec.dropout_rate, drop_rng, name="head.dropout"))
     if length < spec.kernel_size:
         raise ValueError(
             f"input length exhausted at head conv: needs length >= "
             f"{spec.kernel_size}, have {length}")
-    length = length - spec.kernel_size + 1
-    push(Conv1D(channels, spec.final_conv_filters, spec.kernel_size, init_rng,
-                name="head.conv"), (length, spec.final_conv_filters))
-    push(ReLU(name="head.relu"), (length, spec.final_conv_filters))
-    push(GlobalAvgPool(name="head.gap"), (spec.final_conv_filters,))
-    push(Dense(spec.final_conv_filters, spec.num_classes, init_rng, name="head.dense"),
-         (spec.num_classes,))
-    push(Softmax(name="head.softmax"), (spec.num_classes,))
-
-    return LuNetModel(spec=spec, layers=layers, shape_trace=trace)
+    layers += [Conv1D(channels, spec.final_conv_filters, spec.kernel_size, init_rng,
+                      name="head.conv"),
+               ReLU(name="head.relu"),
+               GlobalAvgPool(name="head.gap"),
+               Dense(spec.final_conv_filters, spec.num_classes, init_rng, name="head.dense"),
+               Softmax(name="head.softmax")]
+    return LuNetModel(spec=spec, layers=layers)

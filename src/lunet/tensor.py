@@ -22,13 +22,10 @@ def check_shape(shape) -> tuple[int, ...]:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # split on sign so exp never overflows
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of a non-positive argument never overflows; x >= 0 picks 1/(1+e^-x),
+    # x < 0 picks e^x/(1+e^x)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class Rng:
@@ -46,8 +43,6 @@ class Rng:
         shape = check_shape(shape)
         if std < 0:
             raise ValueError(f"negative std {std}")
-        if std == 0:
-            return np.full(shape, float(mean), dtype=np.float64)
         return self._gen.normal(mean, std, size=shape)
 
     def uniform(self, shape) -> np.ndarray:

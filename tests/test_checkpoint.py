@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lunet import LuNetSpec, build
-from lunet.checkpoint import (MAGIC, CheckpointError, load_checkpoint,
+from lunet.checkpoint import (MAGIC, VERSION, CheckpointError, load_checkpoint,
                               save_checkpoint)
 from lunet.tensor import Rng
 from lunet.train import RmsProp, TrainConfig, train_epoch
+
+# A version-1 checkpoint (one tensor per LSTM gate) of a trained
+# LuNetSpec(input_features=32, num_classes=3, levels=(4,), final_conv_filters=4,
+# init_seed=3), with its infer-mode outputs on Rng(4).normal((5, 32)).
+V1_CHECKPOINT = Path(__file__).resolve().parent / "data" / "checkpoint_v1.lunet"
+V1_PROBS = V1_CHECKPOINT.with_name("checkpoint_v1_probs.npy")
 
 
 @pytest.fixture()
@@ -67,6 +74,28 @@ class TestRoundTrip:
         save_default(path, model)
         loaded, *_ = load_checkpoint(path)
         assert loaded.spec == model.spec
+
+
+class TestVersion1:
+    def test_loads_with_bitwise_identical_outputs(self):
+        assert V1_CHECKPOINT.read_bytes()[len(MAGIC):len(MAGIC) + 4] == struct.pack("<I", 1)
+        model, mean, std, class_names, cols, task = load_checkpoint(V1_CHECKPOINT)
+        np.testing.assert_array_equal(model.forward(Rng(4).normal((5, 32))),
+                                      np.load(V1_PROBS))
+        assert class_names == ["a", "b", "c"]
+        assert cols == [f"col{i}" for i in range(32)] and task == "multi"
+        assert mean.shape == std.shape == (32,)
+
+    def test_resave_writes_current_version_with_stacked_gates(self, tmp_path):
+        model, mean, std, class_names, cols, task = load_checkpoint(V1_CHECKPOINT)
+        path = tmp_path / "v2.lunet"
+        save_checkpoint(path, model, mean, std, class_names, cols, task)
+        blob = path.read_bytes()
+        assert blob[len(MAGIC):len(MAGIC) + 4] == struct.pack("<I", VERSION)
+        assert b"level0.lstm.U_p" not in blob and b"level0.lstm.U" in blob
+        reloaded, *_ = load_checkpoint(path)
+        x = Rng(4).normal((5, 32))
+        np.testing.assert_array_equal(reloaded.forward(x), model.forward(x))
 
 
 class TestErrors:
@@ -129,13 +158,15 @@ def valid_blob(tmp_path_factory):
 @given(data=st.data())
 def test_corrupt_checkpoint_loads_or_raises_checkpoint_error(valid_blob, tmp_path_factory,
                                                              data):
-    n = len(valid_blob)
+    source = data.draw(st.sampled_from([valid_blob, V1_CHECKPOINT.read_bytes()]),
+                       label="current or version-1 file")
+    n = len(source)
     if data.draw(st.booleans(), label="truncate"):
-        blob = valid_blob[:data.draw(st.integers(0, n - 1), label="length")]
+        blob = source[:data.draw(st.integers(0, n - 1), label="length")]
     else:
         at = data.draw(st.integers(0, n - 1), label="offset")
-        flipped = valid_blob[at] ^ data.draw(st.integers(1, 255), label="xor")
-        blob = valid_blob[:at] + bytes([flipped]) + valid_blob[at + 1:]
+        flipped = source[at] ^ data.draw(st.integers(1, 255), label="xor")
+        blob = source[:at] + bytes([flipped]) + source[at + 1:]
     path = tmp_path_factory.getbasetemp() / "fuzz.lunet"
     path.write_bytes(blob)
     try:

@@ -56,7 +56,7 @@ class TestCrossval:
     def test_report_internally_consistent(self, crossval_dir):
         report = read_report(crossval_dir)
         for _, ms, cm in report.per_fold:
-            assert ms.tp + ms.tn + ms.fp + ms.fn == cm.total
+            assert ms.tp + ms.tn + ms.fp + ms.fn == cm.counts.sum()
         assert set(report.per_class) == {"class0", "class1"}
 
     def test_stdout_is_jsonl_then_table(self, tmp_path, capsys):

@@ -142,13 +142,30 @@ class TestBatchNorm:
 
 
 def lstm_step_oracle(params, x_t, h_prev, s_prev):
-    """Scalar-by-scalar evaluation of the four-gate cell equations."""
-    def net(g):
-        return params[f"b_{g}"] + x_t @ params[f"U_{g}"] + h_prev @ params[f"W_{g}"]
+    """Gate-by-gate evaluation of the four-gate cell equations, reading each
+    gate's column block p|g|f|q out of the stacked U, W and b."""
+    cells = h_prev.shape[1]
 
-    s_t = sigmoid(net("f")) * s_prev + sigmoid(net("p")) * np.tanh(net("g"))
-    h_t = np.tanh(s_t) * sigmoid(net("q"))
+    def net(k):
+        cols = slice(k * cells, (k + 1) * cells)
+        return (params["b"][cols] + x_t @ params["U"][:, cols]
+                + h_prev @ params["W"][:, cols])
+
+    s_t = sigmoid(net(2)) * s_prev + sigmoid(net(0)) * np.tanh(net(1))
+    h_t = np.tanh(s_t) * sigmoid(net(3))
     return h_t, s_t
+
+
+def lstm_oracle(params, x):
+    """Oracle cell updates chained over x [batch, length, in] from zero state."""
+    cells = params["W"].shape[0]
+    h = np.zeros((x.shape[0], cells))
+    s = np.zeros_like(h)
+    out = []
+    for t in range(x.shape[1]):
+        h, s = lstm_step_oracle(params, x[:, t, :], h, s)
+        out.append(h)
+    return np.stack(out, axis=1)
 
 
 class TestLstm:
@@ -158,30 +175,41 @@ class TestLstm:
             p[...] = 0.0
         return lstm
 
+    def test_weights_are_gate_draws_stacked(self):
+        # U_p, W_p, U_g, W_g, ... drawn in turn, stacked as column blocks p|g|f|q
+        lstm = LSTM(3, 4, Rng(5))
+        rng = Rng(5)
+        draws = [(rng.normal((3, 4), 0.0, 0.1), rng.normal((4, 4), 0.0, 0.1))
+                 for _ in range(4)]
+        np.testing.assert_array_equal(lstm.params["U"], np.hstack([u for u, _ in draws]))
+        np.testing.assert_array_equal(lstm.params["W"], np.hstack([w for _, w in draws]))
+        np.testing.assert_array_equal(lstm.params["b"], np.zeros(16))
+
     def test_zero_weights_zero_state(self):
         lstm = self.zero_lstm()
-        h, s = lstm.step(np.ones((1, 2)), np.zeros((1, 3)), np.zeros((1, 3)))
-        np.testing.assert_array_equal(s, np.zeros((1, 3)))
-        np.testing.assert_array_equal(h, np.zeros((1, 3)))
+        out = lstm.forward(np.ones((1, 2, 2)))
+        np.testing.assert_array_equal(out, np.zeros((1, 2, 3)))
 
     def test_zero_weights_unit_state(self):
+        # tanh(g) saturates at 1 and the sigmoid gates sit at 0.5, so the
+        # state goes 0 -> 0.5 -> 0.75
         lstm = self.zero_lstm()
-        h, s = lstm.step(np.ones((1, 2)), np.zeros((1, 3)), np.ones((1, 3)))
-        np.testing.assert_allclose(s, 0.5)
-        np.testing.assert_allclose(h, np.tanh(0.5) * 0.5)
-        assert abs(h[0, 0] - 0.23106) < 1e-5
+        lstm.params["b"][3:6] = 40.0
+        out = lstm.forward(np.ones((1, 2, 2)))
+        np.testing.assert_allclose(out[0, 0], np.tanh(0.5) * 0.5)
+        np.testing.assert_allclose(out[0, 1], np.tanh(0.75) * 0.5)
+        assert abs(out[0, 0, 0] - 0.23106) < 1e-5
 
     def test_input_width_mismatch(self):
         lstm = LSTM(4, 3, Rng(1))
         with pytest.raises(ValueError):
-            lstm.step(np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 3)))
+            lstm.forward(np.zeros((1, 2, 3)))
 
     def test_length_one_equals_step(self):
         lstm = LSTM(3, 4, Rng(2))
         x = Rng(3).normal((2, 1, 3))
-        h, _ = lstm.step(x[:, 0, :], np.zeros((2, 4)), np.zeros((2, 4)))
-        out = lstm.forward(x)
-        np.testing.assert_array_equal(out[:, 0, :], h)
+        h, _ = lstm_step_oracle(lstm.params, x[:, 0, :], np.zeros((2, 4)), np.zeros((2, 4)))
+        assert np.max(np.abs(lstm.forward(x)[:, 0, :] - h)) < 1e-12
 
     def test_zero_weights_zero_output(self):
         lstm = self.zero_lstm(3, 4)
@@ -191,38 +219,26 @@ class TestLstm:
     def test_two_step_chaining_oracle(self):
         lstm = LSTM(3, 4, Rng(5))
         x = Rng(6).normal((2, 2, 3))
-        h1, s1 = lstm.step(x[:, 0, :], np.zeros((2, 4)), np.zeros((2, 4)))
-        h2, _ = lstm.step(x[:, 1, :], h1, s1)
+        h1, s1 = lstm_step_oracle(lstm.params, x[:, 0, :], np.zeros((2, 4)), np.zeros((2, 4)))
+        h2, _ = lstm_step_oracle(lstm.params, x[:, 1, :], h1, s1)
         out = lstm.forward(x)
-        np.testing.assert_array_equal(out[:, 0, :], h1)
-        np.testing.assert_array_equal(out[:, 1, :], h2)
+        assert np.max(np.abs(out[:, 0, :] - h1)) < 1e-12
+        assert np.max(np.abs(out[:, 1, :] - h2)) < 1e-12
 
     def test_sequence_truncation_matches_iterated_steps(self):
+        # every prefix of the sequence gives the outputs of that many oracle steps
         lstm = LSTM(2, 3, Rng(7))
         x = Rng(8).normal((3, 6, 2))
-        out = lstm.forward(x)
-        h = np.zeros((3, 3))
-        s = np.zeros((3, 3))
-        for t in range(6):
-            h, s = lstm.step(x[:, t, :], h, s)
-            np.testing.assert_array_equal(out[:, t, :], h)
-
-    def test_last_step_only_mode(self):
-        lstm_seq = LSTM(2, 3, Rng(9))
-        lstm_last = LSTM(2, 3, Rng(9), return_sequences=False)
-        x = Rng(10).normal((2, 4, 2))
-        np.testing.assert_array_equal(lstm_last.forward(x),
-                                      lstm_seq.forward(x)[:, -1, :])
+        want = lstm_oracle(lstm.params, x)
+        for t in range(1, 7):
+            assert np.max(np.abs(lstm.forward(x[:, :t, :]) - want[:, :t, :])) < 1e-12
 
     def test_step_matches_scalar_oracle(self):
         for trial in range(20):
             lstm = LSTM(3, 2, Rng(trial))
-            rng = Rng(100 + trial)
-            x_t, h0, s0 = rng.normal((2, 3)), rng.normal((2, 2)), rng.normal((2, 2))
-            h, s = lstm.step(x_t, h0, s0)
-            eh, es = lstm_step_oracle(lstm.params, x_t, h0, s0)
-            assert np.max(np.abs(h - eh)) < 1e-12
-            assert np.max(np.abs(s - es)) < 1e-12
+            lstm.params["b"][...] = Rng(200 + trial).normal((8,))
+            x = Rng(100 + trial).normal((2, 3, 3))
+            assert np.max(np.abs(lstm.forward(x) - lstm_oracle(lstm.params, x))) < 1e-12
 
 
 class TestDropout:

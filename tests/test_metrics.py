@@ -72,7 +72,7 @@ class TestConfusion:
         cm = confusion([0, 0, 1, 1, 1], [0, 1, 1, 1, 0], BIN)
         # rows are actual, columns are predicted
         np.testing.assert_array_equal(cm.counts, [[1, 1], [1, 2]])
-        assert cm.total == 5
+        assert cm.counts.sum() == 5
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):

@@ -6,14 +6,32 @@ from lunet.tensor import Rng
 
 
 def walk_shapes(spec):
-    """Independent shape-propagation oracle over the documented stack."""
+    """Independent shape-propagation oracle over the documented stack:
+    (layer name, output shape without the batch axis) for every layer."""
     length, ch = spec.input_features, 1
-    for w in spec.levels:
+    shapes = []
+    for k, w in enumerate(spec.levels):
         length = length - spec.kernel_size + 1  # conv
+        shapes += [(f"level{k}.conv", (length, w)), (f"level{k}.relu", (length, w))]
         length = length // spec.pool_size  # pool
+        shapes += [(f"level{k}.{kind}", (length, w)) for kind in ("pool", "bn", "lstm")]
         ch = w  # lstm cells
+    shapes.append(("head.dropout", (length, ch)))
     length = length - spec.kernel_size + 1  # head conv
-    return length, spec.final_conv_filters
+    f = spec.final_conv_filters
+    return shapes + [("head.conv", (length, f)), ("head.relu", (length, f)),
+                     ("head.gap", (f,)), ("head.dense", (spec.num_classes,)),
+                     ("head.softmax", (spec.num_classes,))]
+
+
+def run_layers(model, x):
+    """Run the built layers one at a time on x; returns the final output and
+    (layer name, output shape without the batch axis) for every layer."""
+    out, shapes = x[:, :, None], []
+    for layer in model.layers:
+        out = layer.forward(out, mode=model.mode)
+        shapes.append((layer.name, out.shape[1:]))
+    return out, shapes
 
 
 class TestBuild:
@@ -26,11 +44,8 @@ class TestBuild:
 
     def test_shape_trace_matches_oracle(self):
         spec = LuNetSpec(input_features=122, num_classes=2)
-        model = build(spec)
-        length, ch = walk_shapes(spec)
-        # entry before GAP is the head relu output
-        gap_in = [s for n, s in model.shape_trace if n == "head.relu"][0]
-        assert gap_in == (length, ch)
+        _, shapes = run_layers(build(spec), Rng(1).normal((2, 122)))
+        assert shapes == walk_shapes(spec)
 
     def test_length_exhausted_names_level(self):
         with pytest.raises(ValueError, match="level"):
@@ -46,8 +61,9 @@ class TestBuild:
     def test_lstm_length_equals_post_pool_length(self):
         # each level's LSTM sees exactly the post-pool conv output length
         spec = LuNetSpec(input_features=64, num_classes=2, levels=(4, 8))
-        model = build(spec)
-        trace = dict(model.shape_trace)
+        _, shapes = run_layers(build(spec), Rng(2).normal((3, 64)))
+        assert shapes == walk_shapes(spec)
+        trace = dict(shapes)
         for k in range(len(spec.levels)):
             assert trace[f"level{k}.lstm"][0] == trace[f"level{k}.pool"][0]
 
@@ -93,8 +109,12 @@ class TestForward:
             model.forward(Rng(6).normal((2, 19)))
 
     def test_debug_shape_assertions(self, model):
-        model.debug_shapes = True
-        model.forward(Rng(7).normal((2, 20)))
+        # every layer's output shape follows the oracle, and running the
+        # layers one at a time is exactly what forward does
+        x = Rng(7).normal((2, 20))
+        out, shapes = run_layers(model, x)
+        assert shapes == walk_shapes(model.spec)
+        np.testing.assert_array_equal(out, model.forward(x))
 
 
 class TestPredictClass:

@@ -24,6 +24,15 @@ class TestActivations:
 
     def test_sigmoid_at_zero(self):
         np.testing.assert_array_equal(sigmoid(np.array([0.0])), [0.5])
+        # edge and wide inputs, element by element against the two-branch
+        # formula: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        x = np.concatenate([edges] + [Rng(1).normal([200]) * k for k in (1, 10, 800)])
+        got = sigmoid(x)
+        for xi, gi in zip(x, got):
+            one = np.array([xi])
+            want = 1.0 / (1.0 + np.exp(-one)) if xi >= 0 else np.exp(one) / (1.0 + np.exp(one))
+            np.testing.assert_array_equal([gi], want)
 
     def test_ranges(self):
         x = np.linspace(-30, 30, 201)
