@@ -163,15 +163,19 @@ def load_csv(path, schema: DatasetSchema, paths_extra=()) -> RawTable:
     """Parse one or more delimited files against the schema's column order.
 
     A header row is auto-detected by name-match on the first feature column.
-    Errors name the offending row and column.
+    Every file must hold at least one data row, and every numeric cell must
+    parse to a finite number. Errors name the file, the row (data rows are
+    counted from 1 in each file) and the column.
     """
     names = [n for n, _ in schema.columns]
     kinds = dict(schema.columns)
     expected = len(names)
     columns = {n: [] for n, k in schema.columns if k in (NUMERIC, CATEGORICAL)}
     label_values = []
-    row_no = 0
+    starts = []  # (file, index of its first row in the merged table)
     for p in (path, *paths_extra):
+        starts.append((p, len(label_values)))
+        row_no = 0
         try:
             fh = open(p, newline="", encoding="utf-8")
         except OSError as e:
@@ -208,11 +212,18 @@ def load_csv(path, schema: DatasetSchema, paths_extra=()) -> RawTable:
                             raise DataError(
                                 f"{p} row {row_no}, column {name!r}: "
                                 f"unparseable numeric cell {cell!r}") from None
-    if row_no == 0:
-        raise DataError(f"{path}: no data rows")
+        if row_no == 0:
+            raise DataError(f"{p}: no data rows")
     for name, kind in schema.columns:
         if kind == NUMERIC:
-            columns[name] = np.asarray(columns[name], dtype=np.float64)
+            col = np.asarray(columns[name], dtype=np.float64)
+            finite = np.isfinite(col)
+            if not finite.all():
+                i = int(np.argmin(finite))  # the first non-finite row
+                p, start = next((p, start) for p, start in reversed(starts) if start <= i)
+                raise DataError(f"{p} row {i - start + 1}, column {name!r}: "
+                                f"non-finite numeric cell {float(col[i])!r}")
+            columns[name] = col
     return RawTable(schema=schema, columns=columns, label_values=label_values)
 
 

@@ -73,10 +73,11 @@ class Conv1D(Layer):
         if length < self.m:
             raise ValueError(f"{self.name}: input length {length} < kernel size {self.m}")
         l_out = length - self.m + 1
-        f = self.params["filters"]
+        # contiguous taps [m, c_in, c_out]: a strided f[:, :, j].T cannot go to BLAS
+        taps = np.ascontiguousarray(self.params["filters"].transpose(2, 1, 0))
         out = np.broadcast_to(self.params["bias"], (x.shape[0], l_out, self.c_out)).copy()
         for j in range(self.m):
-            out += x[:, j:j + l_out, :] @ f[:, :, j].T
+            out += x[:, j:j + l_out, :] @ taps[j]
         self._cache = (x, l_out)
         return out
 
@@ -84,13 +85,13 @@ class Conv1D(Layer):
         x, l_out = self._require_cache()
         if upstream.shape != (x.shape[0], l_out, self.c_out):
             raise ValueError(f"{self.name}: upstream shape {upstream.shape} mismatch")
-        f = self.params["filters"]
+        taps = np.ascontiguousarray(self.params["filters"].transpose(2, 0, 1))  # [m, c_out, c_in]
+        u2 = upstream.reshape(-1, self.c_out)
         dx = np.zeros_like(x)
         df = self.grads["filters"]
         for j in range(self.m):
-            xs = x[:, j:j + l_out, :]
-            df[:, :, j] += np.tensordot(upstream, xs, axes=([0, 1], [0, 1]))
-            dx[:, j:j + l_out, :] += upstream @ f[:, :, j]
+            df[:, :, j] += u2.T @ x[:, j:j + l_out, :].reshape(-1, self.c_in)
+            dx[:, j:j + l_out, :] += upstream @ taps[j]
         self.grads["bias"] += upstream.sum(axis=(0, 1))
         return dx
 
@@ -112,7 +113,10 @@ class ReLU(Layer):
 class MaxPool1D(Layer):
     """Non-overlapping max pooling over the length axis; remainder dropped.
 
-    Backward routes the gradient to the first maximal element per window.
+    Forward returns each window's maximum (NaN if the window holds one; a
+    tie of +0 and -0 may give either zero). Backward routes the gradient to
+    the first maximal element per window, found from the windows kept by
+    forward.
     """
 
     def __init__(self, pool: int, name: str = "maxpool"):
@@ -129,16 +133,16 @@ class MaxPool1D(Layer):
             raise ValueError(f"{self.name}: length {length} < pool size {self.pool}")
         n = length // self.pool
         xw = x[:, :n * self.pool, :].reshape(b, n, self.pool, c)
-        idx = np.argmax(xw, axis=2)  # first occurrence on ties
-        out = np.take_along_axis(xw, idx[:, :, None, :], axis=2)[:, :, 0, :]
-        self._cache = (x.shape, idx, n)
-        return out
+        self._cache = (x.shape, xw)
+        return xw.max(axis=2)
 
     def backward(self, upstream):
-        shape, idx, n = self._require_cache()
+        shape, xw = self._require_cache()
         b, length, c = shape
+        n = xw.shape[1]
         if upstream.shape != (b, n, c):
             raise ValueError(f"{self.name}: upstream shape {upstream.shape} mismatch")
+        idx = np.argmax(xw, axis=2)  # first occurrence on ties
         dx = np.zeros(shape)
         dxw = dx[:, :n * self.pool, :].reshape(b, n, self.pool, c)
         np.put_along_axis(dxw, idx[:, :, None, :], upstream[:, :, None, :], axis=2)
@@ -243,7 +247,7 @@ class LSTM(Layer):
             a = z + hs[:, t] @ p["W"]
             z[...] = sigmoid(a)
             z[:, c:2 * c] = np.tanh(a[:, c:2 * c])
-            i_g, g_g, f_g, q_g = np.split(z, 4, axis=1)
+            i_g, g_g, f_g, q_g = z[:, :c], z[:, c:2 * c], z[:, 2 * c:3 * c], z[:, 3 * c:]
             ss[:, t + 1] = f_g * ss[:, t] + i_g * g_g
             hs[:, t + 1] = np.tanh(ss[:, t + 1]) * q_g
         self._cache = (x, gates, hs, ss)
@@ -260,8 +264,9 @@ class LSTM(Layer):
         ds_next = np.zeros((b, c))
         tanh_s = np.tanh(ss[:, 1:])
         for t in reversed(range(length)):
-            i_g, g_g, f_g, q_g = np.split(gates[:, t], 4, axis=1)
-            da_p, da_g, da_f, da_q = np.split(da[:, t], 4, axis=1)
+            z, dz = gates[:, t], da[:, t]
+            i_g, g_g, f_g, q_g = z[:, :c], z[:, c:2 * c], z[:, 2 * c:3 * c], z[:, 3 * c:]
+            da_p, da_g, da_f, da_q = dz[:, :c], dz[:, c:2 * c], dz[:, 2 * c:3 * c], dz[:, 3 * c:]
             ts = tanh_s[:, t]
             dh = upstream[:, t] + dh_next
             da_q[...] = dh * ts * q_g * (1 - q_g)
@@ -270,7 +275,7 @@ class LSTM(Layer):
             da_p[...] = ds * g_g * i_g * (1 - i_g)
             da_g[...] = ds * i_g * (1 - g_g * g_g)
             ds_next = ds * f_g
-            dh_next = da[:, t] @ p["W"].T
+            dh_next = dz @ p["W"].T
         da = da.reshape(-1, 4 * c)
         g["U"] += x.reshape(-1, self.in_dim).T @ da
         g["W"] += hs[:, :-1].reshape(-1, c).T @ da

@@ -79,13 +79,18 @@ class LuNetModel:
         self.mode = mode
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """[batch, input_features] -> class-probability rows summing to 1."""
+        """[batch, input_features] -> class-probability rows summing to 1.
+
+        In infer mode no layer keeps its backward state, so `backward` after
+        an infer-mode forward raises RuntimeError."""
         if x.ndim != 2 or x.shape[1] != self.spec.input_features:
             raise ValueError(
                 f"expected [batch, {self.spec.input_features}] input, got {x.shape}")
         out = x[:, :, None]
         for layer in self.layers:
             out = layer.forward(out, mode=self.mode)
+            if self.mode == "infer":
+                layer._cache = None  # only backward reads it
         return out
 
     def backward(self, delta: np.ndarray) -> np.ndarray:

@@ -81,8 +81,17 @@ class RmsProp:
         for name, layer, pname, value in model.named_params():
             g = layer.grads[pname]
             acc = self._acc.setdefault(name, np.zeros_like(value))
-            acc[...] = c.rho * acc + (1.0 - c.rho) * g * g
-            value -= c.learning_rate * g / (np.sqrt(acc) + c.epsilon)
+            # in place, in the operation order of the formula above, so the
+            # results are bitwise those of the plain expression
+            upd = (1.0 - c.rho) * g
+            upd *= g
+            acc *= c.rho
+            acc += upd
+            np.sqrt(acc, out=upd)
+            upd += c.epsilon
+            g *= c.learning_rate
+            np.divide(g, upd, out=upd)
+            value -= upd
             g[...] = 0.0
 
 

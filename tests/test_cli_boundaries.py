@@ -1,5 +1,6 @@
-"""Command line boundaries: the settings table, mismatched evaluation columns
-and corrupt checkpoints each end in their documented exit code."""
+"""Command line boundaries: the settings table, mismatched evaluation columns,
+non-finite CSV cells and corrupt checkpoints each end in their documented
+exit code."""
 
 from dataclasses import fields
 
@@ -55,6 +56,16 @@ def test_truncated_checkpoint_exits_3(nsl_run, capsys):
     capsys.readouterr()
     assert evaluate(nsl_run, "ftp_http.csv", "short.lunet") == EXIT_DATA
     assert "truncated" in capsys.readouterr().err
+
+
+def test_non_finite_cell_exits_3(nsl_run, capsys):
+    d, _ = nsl_run
+    rows = (d / "ftp_http.csv").read_text().splitlines()
+    rows[3] = rows[3].replace(",SF,0,", ",SF,nan,", 1)
+    (d / "nan.csv").write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert evaluate(nsl_run, "nan.csv") == EXIT_DATA
+    assert "nan.csv row 4, column 'src_bytes': non-finite" in capsys.readouterr().err
 
 
 def test_settings_table_declares_every_key_and_flag_once():

@@ -81,6 +81,37 @@ class TestLoadCsv:
         assert raw.n_rows == 6
 
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_names_file_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        write_nsl_csv(path, [("normal", "20", None), ("neptune", "18", {5: cell})])
+        with pytest.raises(DataError, match=r"nonfinite\.csv row 2, column 'dst_bytes'"):
+            load_csv(str(path), NSL_KDD)
+
+    def test_first_non_finite_row_of_a_column_is_named(self, tmp_path):
+        path = tmp_path / "nonfinite.csv"
+        write_nsl_csv(path, [("normal", "20", None), ("normal", "20", {0: "inf"}),
+                             ("normal", "20", {0: "nan"})])
+        with pytest.raises(DataError, match="row 2, column 'duration'"):
+            load_csv(str(path), NSL_KDD)
+
+    @pytest.mark.parametrize("cell", ["oops", "nan"])
+    def test_rows_are_counted_per_file(self, tmp_path, nsl_file, cell):
+        second = tmp_path / "kdd2.csv"
+        write_nsl_csv(second, [("smurf", "3", {4: cell})])
+        with pytest.raises(DataError, match=r"kdd2\.csv row 1, column 'src_bytes'"):
+            load_csv(nsl_file, NSL_KDD, paths_extra=[str(second)])
+
+    @pytest.mark.parametrize("content", ["", "\n\n", None])
+    def test_extra_file_without_data_rows_rejected(self, tmp_path, nsl_file, content):
+        empty = tmp_path / "empty.csv"
+        if content is None:  # a header row alone
+            content = ",".join(n for n, _ in NSL_KDD.columns) + "\n"
+        empty.write_text(content)
+        with pytest.raises(DataError, match=r"empty\.csv: no data rows"):
+            load_csv(nsl_file, NSL_KDD, paths_extra=[str(empty)])
+
+
 class TestEncodeCategorical:
     def test_lexicographic_one_hot(self, nsl_file):
         raw = load_csv(nsl_file, NSL_KDD)

@@ -38,6 +38,23 @@ def conv_oracle(x, filters, bias):
     return out
 
 
+def conv_per_tap(conv, x, upstream):
+    """The per-tap formulas on strided filter views: forward output, then
+    (dx, d filters, d bias) from zeroed gradients."""
+    f, l_out = conv.params["filters"], x.shape[1] - conv.m + 1
+    out = np.broadcast_to(conv.params["bias"], (x.shape[0], l_out, conv.c_out)).copy()
+    dx, df = np.zeros_like(x), np.zeros_like(f)
+    for j in range(conv.m):
+        out += x[:, j:j + l_out, :] @ f[:, :, j].T
+        df[:, :, j] += np.tensordot(upstream, x[:, j:j + l_out, :], axes=([0, 1], [0, 1]))
+        dx[:, j:j + l_out, :] += upstream @ f[:, :, j]
+    return out, dx, df, upstream.sum(axis=(0, 1))
+
+
+# (length, c_in, c_out) of the four convolutions of the paper model on 122 inputs
+PAPER_CONV_SHAPES = [(122, 1, 64), (60, 64, 128), (29, 128, 256), (13, 256, 256)]
+
+
 class TestConv1D:
     def test_shifted_identity_kernel(self):
         conv = make_conv(1, 1, 2, filters=np.array([[[1.0, 0.0]]]), bias=[0.0])
@@ -61,6 +78,20 @@ class TestConv1D:
         x = rng.normal((2, 16, 3))
         expected = conv_oracle(x, conv.params["filters"], conv.params["bias"])
         assert np.max(np.abs(conv.forward(x) - expected)) < 1e-12
+
+    @pytest.mark.parametrize("batch", [2, 32, 256])
+    @pytest.mark.parametrize("length,c_in,c_out", PAPER_CONV_SHAPES)
+    def test_contiguous_taps_match_per_tap_formulas_bitwise(self, length, c_in, c_out, batch):
+        rng = Rng(length + batch)
+        conv = Conv1D(c_in, c_out, 3, rng)
+        conv.params["bias"][...] = rng.normal((c_out,))
+        x = rng.normal((batch, length, c_in))
+        upstream = rng.normal((batch, length - 2, c_out))
+        out, dx, df, db = conv_per_tap(conv, x, upstream)
+        np.testing.assert_array_equal(conv.forward(x), out)
+        np.testing.assert_array_equal(conv.backward(upstream), dx)
+        np.testing.assert_array_equal(conv.grads["filters"], df)
+        np.testing.assert_array_equal(conv.grads["bias"], db)
 
 
 class TestMaxPool1D:
@@ -91,6 +122,19 @@ class TestMaxPool1D:
                     for c in range(3):
                         assert out[b, w, c] == max(
                             x[b, w * pool + j, c] for j in range(pool))
+
+    @pytest.mark.parametrize("pool", [2, 3])
+    def test_max_equals_first_argmax_pick_bitwise(self, pool):
+        # few distinct values make ties common; NaN must win its window
+        rng = Rng(pool)
+        x = np.floor(rng.normal((4, 17, 5)) * 2)
+        x[rng.uniform((4, 17, 5)) < 0.1] = np.nan
+        n = 17 // pool
+        xw = x[:, :n * pool].reshape(4, n, pool, 5)
+        idx = np.argmax(xw, axis=2)
+        want = np.take_along_axis(xw, idx[:, :, None, :], axis=2)[:, :, 0, :]
+        got = MaxPool1D(pool).forward(x)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_tie_gradient_goes_to_first(self):
         pool = MaxPool1D(2)

@@ -138,3 +138,20 @@ class TestPredictClass:
         x = Rng(9).normal((4, 16))
         np.testing.assert_array_equal(model.predict_class(x), model.predict_class(x))
         assert model.mode == "train"  # restored
+
+    def test_infer_keeps_no_backward_state(self):
+        model = build(LuNetSpec(input_features=16, num_classes=2, levels=(4,),
+                                final_conv_filters=4))
+        x = Rng(10).normal((4, 16))
+        model.forward(x)  # train mode: every layer but softmax keeps its cache
+        assert all(layer._cache is not None for layer in model.layers[:-1])
+        model.predict_class(x)
+        assert all(layer._cache is None for layer in model.layers)
+
+    def test_backward_after_infer_forward_raises(self):
+        model = build(LuNetSpec(input_features=16, num_classes=2, levels=(4,),
+                                final_conv_filters=4))
+        model.set_mode("infer")
+        probs = model.forward(Rng(11).normal((4, 16)))
+        with pytest.raises(RuntimeError, match="without a prior forward"):
+            model.backward(probs / 4)

@@ -5,6 +5,7 @@ import pytest
 
 from lunet import LuNetSpec, build
 from lunet.data import standardize, synth_dataset
+from lunet.tensor import Rng
 from lunet.train import (RmsProp, RmsPropConfig, TrainConfig,
                          cross_entropy_loss, fit, one_hot, train_epoch)
 
@@ -58,6 +59,24 @@ class TestRmsProp:
         assert abs(expected - (-3.1623e-3)) < 1e-6
         # gradients zeroed afterwards
         np.testing.assert_array_equal(layer.grads["b"], 0.0)
+
+    def test_in_place_update_matches_formula_bitwise(self):
+        model = tiny_model()
+        cfg = RmsPropConfig(learning_rate=0.01)
+        opt = RmsProp(cfg)
+        params = {n: v.copy() for n, _, _, v in model.named_params()}
+        acc = {n: np.zeros_like(v) for n, v in params.items()}
+        rng = Rng(12)
+        for _ in range(3):
+            for n, layer, pname, value in model.named_params():
+                g = rng.normal(value.shape)
+                layer.grads[pname][...] = g
+                acc[n] = cfg.rho * acc[n] + (1.0 - cfg.rho) * g * g
+                params[n] = params[n] - cfg.learning_rate * g / (np.sqrt(acc[n]) + cfg.epsilon)
+            opt.step(model)
+        for n, layer, pname, value in model.named_params():
+            np.testing.assert_array_equal(value, params[n])
+            np.testing.assert_array_equal(layer.grads[pname], 0.0)
 
     def test_monotone_descent_on_quadratic(self):
         # 1-D quadratic f(w) = w^2 handled with the raw update rule
