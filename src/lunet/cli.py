@@ -172,9 +172,17 @@ def make_spec(cfg: RunConfig, input_features: int, num_classes: int,
         raise ConfigError(str(e)) from e
 
 
-def predict_batched(model, features: np.ndarray, chunk: int = 256) -> np.ndarray:
-    preds = [model.predict_class(features[i:i + chunk])
-             for i in range(0, features.shape[0], chunk)]
+# Rows per infer-mode forward, picked by measurement: 1,024 rows through a
+# paper-width model ran at 509/592/614/582 rows/s in chunks of 256/128/64/32
+# (median of 9 interleaved passes, 2-core host, BLAS 1 thread). Smaller chunks
+# keep more of each layer's working set in cache until per-call overhead wins.
+# A row's probabilities do not depend on the chunk it runs in.
+PREDICT_CHUNK = 64
+
+
+def predict_batched(model, features: np.ndarray) -> np.ndarray:
+    preds = [model.predict_class(features[i:i + PREDICT_CHUNK])
+             for i in range(0, features.shape[0], PREDICT_CHUNK)]
     return np.concatenate(preds)
 
 

@@ -159,13 +159,33 @@ class FoldPlan:
         return np.flatnonzero(self.assignments != fold)
 
 
+def _utf8_lines(fh, p):
+    """The lines of text file `fh` (path `p`); text that is not UTF-8 is a
+    DataError naming the line of the first bad byte."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as e:
+        # the decoder counts offsets within its buffered chunk, so place the
+        # bad byte by decoding the raw file
+        with open(p, "rb") as raw:
+            data = raw.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            line = data.count(b"\n", 0, whole.start) + 1
+            raise DataError(f"{p} line {line}: not UTF-8 text "
+                            f"(byte 0x{data[whole.start]:02x})") from None
+        raise DataError(f"{p}: not UTF-8 text ({e})") from None
+
+
 def load_csv(path, schema: DatasetSchema, paths_extra=()) -> RawTable:
     """Parse one or more delimited files against the schema's column order.
 
     A header row is auto-detected by name-match on the first feature column.
-    Every file must hold at least one data row, and every numeric cell must
-    parse to a finite number. Errors name the file, the row (data rows are
-    counted from 1 in each file) and the column.
+    Every file must be UTF-8 text holding at least one data row, and every
+    numeric cell must parse to a finite number. Errors name the file, the row
+    (data rows are counted from 1 in each file) and the column; a byte that is
+    not UTF-8 is named by its file line.
     """
     names = [n for n, _ in schema.columns]
     kinds = dict(schema.columns)
@@ -181,7 +201,7 @@ def load_csv(path, schema: DatasetSchema, paths_extra=()) -> RawTable:
         except OSError as e:
             raise DataError(f"cannot open dataset file {p}: {e}") from e
         with fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(_utf8_lines(fh, p))
             first = True
             for cells in reader:
                 if not cells:

@@ -76,8 +76,11 @@ class Conv1D(Layer):
         # contiguous taps [m, c_in, c_out]: a strided f[:, :, j].T cannot go to BLAS
         taps = np.ascontiguousarray(self.params["filters"].transpose(2, 1, 0))
         out = np.broadcast_to(self.params["bias"], (x.shape[0], l_out, self.c_out)).copy()
+        # with one input channel a tap is an outer product: a broadcast multiply
+        # gives the bits of the K=1 GEMM without its call overhead
+        tap = np.multiply if self.c_in == 1 else np.matmul
         for j in range(self.m):
-            out += x[:, j:j + l_out, :] @ taps[j]
+            out += tap(x[:, j:j + l_out, :], taps[j])
         self._cache = (x, l_out)
         return out
 
@@ -101,7 +104,7 @@ class ReLU(Layer):
         super().__init__(name)
 
     def forward(self, x, mode="train"):
-        self._cache = x > 0
+        self._cache = x > 0 if mode == "train" else None
         return np.maximum(0.0, x)
 
     def backward(self, upstream):
@@ -217,7 +220,8 @@ class LSTM(Layer):
     The four sub-nets are stored gate-stacked: U [in, 4c], W [c, 4c] and
     b [4c] hold the gates as column blocks in the order p|g|f|q, so a step
     makes one h @ W product and the input products are made for all
-    timesteps before the loop.
+    timesteps before the loop. Gate activations and states are kept
+    time-major ([length, batch, .]) between forward and backward.
     """
 
     def __init__(self, in_dim: int, cells: int, rng: Rng, name: str = "lstm"):
@@ -237,21 +241,31 @@ class LSTM(Layer):
         if length < 1:
             raise ValueError(f"{self.name}: empty sequence")
         c, p = self.cells, self.params
-        # b + x(t) @ U for every t, overwritten step by step with the gate
-        # activations sigmoid(p) | tanh(g) | sigmoid(f) | sigmoid(q)
-        gates = (p["b"] + x.reshape(-1, self.in_dim) @ p["U"]).reshape(b, length, 4 * c)
-        hs = np.zeros((b, length + 1, c))  # hs[:, t] is h(t-1); the first is the zero state
-        ss = np.zeros((b, length + 1, c))
+        # Time-major, so each step reads and writes contiguous rows.
+        # gates[t] starts as b + x(t) @ U and is overwritten at step t with
+        # the gate activations sigmoid(p) | tanh(g) | sigmoid(f) | sigmoid(q).
+        xt = x.transpose(1, 0, 2).reshape(-1, self.in_dim)  # a copy
+        gates = (xt @ p["U"]).reshape(length, b, 4 * c)
+        gates += p["b"]
+        hs = np.zeros((length + 1, b, c))  # hs[t] is h(t-1); hs[0] is the zero state
+        ss = np.zeros((length + 1, b, c))
+        ig = np.empty((b, c))
         for t in range(length):
-            z = gates[:, t]
-            a = z + hs[:, t] @ p["W"]
-            z[...] = sigmoid(a)
-            z[:, c:2 * c] = np.tanh(a[:, c:2 * c])
-            i_g, g_g, f_g, q_g = z[:, :c], z[:, c:2 * c], z[:, 2 * c:3 * c], z[:, 3 * c:]
-            ss[:, t + 1] = f_g * ss[:, t] + i_g * g_g
-            hs[:, t + 1] = np.tanh(ss[:, t + 1]) * q_g
+            z = gates[t]
+            z += hs[t] @ p["W"]
+            i_g, g_g, f_q = z[:, :c], z[:, c:2 * c], z[:, 2 * c:]
+            sigmoid(i_g, out=i_g)
+            np.tanh(g_g, out=g_g)
+            sigmoid(f_q, out=f_q)
+            f_g, q_g = f_q[:, :c], f_q[:, c:]
+            s, h = ss[t + 1], hs[t + 1]
+            np.multiply(f_g, ss[t], out=s)
+            np.multiply(i_g, g_g, out=ig)
+            s += ig
+            np.tanh(s, out=h)
+            h *= q_g
         self._cache = (x, gates, hs, ss)
-        return hs[:, 1:]
+        return np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
 
     def backward(self, upstream):
         x, gates, hs, ss = self._require_cache()
@@ -259,26 +273,29 @@ class LSTM(Layer):
         c, p, g = self.cells, self.params, self.grads
         if upstream.shape != (b, length, c):
             raise ValueError(f"{self.name}: upstream shape {upstream.shape} mismatch")
-        da = np.empty_like(gates)
+        # batch-major, so the products after the loop need no transpose and
+        # sum in the order of a batch-major cache
+        da = np.empty((b, length, 4 * c))
         dh_next = np.zeros((b, c))
         ds_next = np.zeros((b, c))
-        tanh_s = np.tanh(ss[:, 1:])
+        tanh_s = np.tanh(ss[1:])
         for t in reversed(range(length)):
-            z, dz = gates[:, t], da[:, t]
+            z, dz = gates[t], da[:, t]
             i_g, g_g, f_g, q_g = z[:, :c], z[:, c:2 * c], z[:, 2 * c:3 * c], z[:, 3 * c:]
             da_p, da_g, da_f, da_q = dz[:, :c], dz[:, c:2 * c], dz[:, 2 * c:3 * c], dz[:, 3 * c:]
-            ts = tanh_s[:, t]
+            ts = tanh_s[t]
             dh = upstream[:, t] + dh_next
             da_q[...] = dh * ts * q_g * (1 - q_g)
             ds = dh * q_g * (1 - ts * ts) + ds_next
-            da_f[...] = ds * ss[:, t] * f_g * (1 - f_g)
+            da_f[...] = ds * ss[t] * f_g * (1 - f_g)
             da_p[...] = ds * g_g * i_g * (1 - i_g)
             da_g[...] = ds * i_g * (1 - g_g * g_g)
             ds_next = ds * f_g
             dh_next = dz @ p["W"].T
         da = da.reshape(-1, 4 * c)
+        h_prev = hs[:-1].transpose(1, 0, 2).reshape(-1, c)  # a batch-major copy
         g["U"] += x.reshape(-1, self.in_dim).T @ da
-        g["W"] += hs[:, :-1].reshape(-1, c).T @ da
+        g["W"] += h_prev.T @ da
         g["b"] += da.sum(axis=0)
         return (da @ p["U"].T).reshape(x.shape)
 

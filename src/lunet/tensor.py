@@ -21,14 +21,15 @@ def check_shape(shape) -> tuple[int, ...]:
     return tuple(int(d) for d in shape)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise logistic function; `out` may be `x` itself."""
     # exp of a non-positive argument never overflows; x >= 0 picks 1/(1+e^-x),
     # x < 0 picks e^x/(1+e^x). e <= 1, so max(e, x >= 0) is 1 or e (NaN stays
     # NaN), and costs less than np.where with a scalar branch.
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(e, x >= 0)
+    out = np.maximum(e, x >= 0, out=out)
     e += 1.0
     out /= e
     return out

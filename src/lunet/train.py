@@ -70,7 +70,10 @@ def cross_entropy_delta(probs: np.ndarray, labels_onehot: np.ndarray) -> np.ndar
 
 
 class RmsProp:
-    """acc <- rho*acc + (1-rho)*g^2; w <- w - lr*g/(sqrt(acc)+eps); grads zeroed."""
+    """acc <- rho*acc + (1-rho)*g^2; w <- w - lr*g/(sqrt(acc)+eps); grads zeroed.
+
+    A step that leaves a parameter with a non-finite entry raises
+    FloatingPointError naming the tensor."""
 
     def __init__(self, config: RmsPropConfig | None = None):
         self.config = config or RmsPropConfig()
@@ -93,6 +96,8 @@ class RmsProp:
             np.divide(g, upd, out=upd)
             value -= upd
             g[...] = 0.0
+            if not np.isfinite(value).all():
+                raise FloatingPointError(f"non-finite parameter {name} after an RMSprop step")
 
 
 def iter_batches(n: int, tc: TrainConfig, epoch: int):

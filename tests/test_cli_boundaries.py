@@ -1,13 +1,15 @@
 """Command line boundaries: the settings table, mismatched evaluation columns,
-non-finite CSV cells and corrupt checkpoints each end in their documented
-exit code."""
+non-finite or non-UTF-8 CSV cells, corrupt checkpoints and non-finite
+parameters each end in their documented exit code."""
 
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from lunet.cli import (EXIT_DATA, EXIT_OK, ConfigError, RunConfig,
+from lunet.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, ConfigError, RunConfig,
                        build_run_config, main, make_parser, parse_config_file)
+from lunet.model import LuNetModel
 
 
 def write_nsl(path, services):
@@ -66,6 +68,30 @@ def test_non_finite_cell_exits_3(nsl_run, capsys):
     capsys.readouterr()
     assert evaluate(nsl_run, "nan.csv") == EXIT_DATA
     assert "nan.csv row 4, column 'src_bytes': non-finite" in capsys.readouterr().err
+
+
+def test_non_utf8_file_exits_3(nsl_run, capsys):
+    d, _ = nsl_run
+    lines = (d / "ftp_http.csv").read_bytes().split(b"\n")
+    lines[4] = lines[4].replace(b",tcp,", b",tc\xff,", 1)
+    (d / "latin.csv").write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert evaluate(nsl_run, "latin.csv") == EXIT_DATA
+    assert "latin.csv line 5: not UTF-8 text (byte 0xff)" in capsys.readouterr().err
+
+
+def test_nan_gradient_exits_4_naming_the_tensor(tmp_path, monkeypatch, capsys):
+    backward = LuNetModel.backward
+
+    def nan_backward(self, delta):
+        dx = backward(self, delta)
+        self.layers[-2].grads["W"][0, 0] = np.nan  # head.dense
+        return dx
+
+    monkeypatch.setattr(LuNetModel, "backward", nan_backward)
+    assert main(["train", "--dataset", "synthetic", "--levels", "4", "--epochs", "1",
+                 "--output-dir", str(tmp_path)]) == EXIT_NUMERIC
+    assert "non-finite parameter head.dense.W" in capsys.readouterr().err
 
 
 def test_settings_table_declares_every_key_and_flag_once():

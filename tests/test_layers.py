@@ -212,6 +212,45 @@ def lstm_oracle(params, x):
     return np.stack(out, axis=1)
 
 
+def lstm_batch_major(params, x, upstream):
+    """Reference LSTM forward and backward over a batch-major [b, L, .] cache,
+    with sigmoid over all four gate blocks and then tanh over the g block.
+    Returns the output and the gradients dU, dW, db and dx."""
+    b, length, in_dim = x.shape
+    c = params["W"].shape[0]
+    gates = (params["b"] + x.reshape(-1, in_dim) @ params["U"]).reshape(b, length, 4 * c)
+    hs = np.zeros((b, length + 1, c))
+    ss = np.zeros((b, length + 1, c))
+    for t in range(length):
+        z = gates[:, t]
+        a = z + hs[:, t] @ params["W"]
+        z[...] = sigmoid(a)
+        z[:, c:2 * c] = np.tanh(a[:, c:2 * c])
+        i_g, g_g, f_g, q_g = z[:, :c], z[:, c:2 * c], z[:, 2 * c:3 * c], z[:, 3 * c:]
+        ss[:, t + 1] = f_g * ss[:, t] + i_g * g_g
+        hs[:, t + 1] = np.tanh(ss[:, t + 1]) * q_g
+    da = np.empty_like(gates)
+    dh_next = np.zeros((b, c))
+    ds_next = np.zeros((b, c))
+    tanh_s = np.tanh(ss[:, 1:])
+    for t in reversed(range(length)):
+        z, dz = gates[:, t], da[:, t]
+        i_g, g_g, f_g, q_g = z[:, :c], z[:, c:2 * c], z[:, 2 * c:3 * c], z[:, 3 * c:]
+        da_p, da_g, da_f, da_q = dz[:, :c], dz[:, c:2 * c], dz[:, 2 * c:3 * c], dz[:, 3 * c:]
+        ts = tanh_s[:, t]
+        dh = upstream[:, t] + dh_next
+        da_q[...] = dh * ts * q_g * (1 - q_g)
+        ds = dh * q_g * (1 - ts * ts) + ds_next
+        da_f[...] = ds * ss[:, t] * f_g * (1 - f_g)
+        da_p[...] = ds * g_g * i_g * (1 - i_g)
+        da_g[...] = ds * i_g * (1 - g_g * g_g)
+        ds_next = ds * f_g
+        dh_next = dz @ params["W"].T
+    da = da.reshape(-1, 4 * c)
+    return (hs[:, 1:], x.reshape(-1, in_dim).T @ da, hs[:, :-1].reshape(-1, c).T @ da,
+            da.sum(axis=0), (da @ params["U"].T).reshape(x.shape))
+
+
 class TestLstm:
     def zero_lstm(self, in_dim=2, cells=3):
         lstm = LSTM(in_dim, cells, Rng(0))
@@ -283,6 +322,21 @@ class TestLstm:
             lstm.params["b"][...] = Rng(200 + trial).normal((8,))
             x = Rng(100 + trial).normal((2, 3, 3))
             assert np.max(np.abs(lstm.forward(x) - lstm_oracle(lstm.params, x))) < 1e-12
+
+    # (cells = input width, steps) of the three LSTMs of the paper model on 122 inputs
+    @pytest.mark.parametrize("cells,length", [(64, 60), (128, 29), (256, 13)])
+    @pytest.mark.parametrize("batch", [2, 32, 64])
+    def test_time_major_matches_batch_major_reference_bitwise(self, cells, length, batch):
+        lstm = LSTM(cells, cells, Rng(cells))
+        lstm.params["b"][...] = Rng(cells + 1).normal((4 * cells,))
+        x = Rng(batch).normal((batch, length, cells))
+        upstream = Rng(batch + 1).normal((batch, length, cells))
+        out, d_u, d_w, d_b, dx = lstm_batch_major(lstm.params, x, upstream)
+        np.testing.assert_array_equal(lstm.forward(x), out)
+        np.testing.assert_array_equal(lstm.backward(upstream), dx)
+        np.testing.assert_array_equal(lstm.grads["U"], d_u)
+        np.testing.assert_array_equal(lstm.grads["W"], d_w)
+        np.testing.assert_array_equal(lstm.grads["b"], d_b)
 
 
 class TestDropout:
@@ -385,6 +439,15 @@ class TestBackwardContracts:
         r.forward(x)
         dx = r.backward(np.ones_like(x))
         np.testing.assert_array_equal(dx, [[0.0, 1.0, 0.0]])
+
+    def test_relu_keeps_no_mask_in_infer_mode(self):
+        r = ReLU()
+        x = np.array([[-1.0, 2.0, -3.0]])
+        r.forward(x)
+        r.forward(x, mode="infer")
+        assert r._cache is None
+        with pytest.raises(RuntimeError):
+            r.backward(np.ones_like(x))
 
     def test_upstream_shape_mismatch(self):
         d = Dense(3, 2, Rng(0))

@@ -104,6 +104,17 @@ class TestForward:
         x = Rng(5).normal((4, 20))
         np.testing.assert_array_equal(model.forward(x), model.forward(x))
 
+    def test_paper_width_probs_do_not_depend_on_chunking(self):
+        # lets the evaluate chunk size change without changing any result
+        model = build(LuNetSpec(input_features=122, num_classes=2, init_seed=1))
+        for _, _, pname, value in model.named_params():
+            if pname in ("b", "bias"):
+                value[...] = Rng(value.size).normal(value.shape)
+        model.set_mode("infer")
+        x = Rng(12).normal((256, 122))
+        chunks = np.vstack([model.forward(x[i:i + 64]) for i in range(0, 256, 64)])
+        np.testing.assert_array_equal(model.forward(x), chunks)
+
     def test_wrong_feature_count(self, model):
         with pytest.raises(ValueError):
             model.forward(Rng(6).normal((2, 19)))

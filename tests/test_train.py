@@ -78,6 +78,12 @@ class TestRmsProp:
             np.testing.assert_array_equal(value, params[n])
             np.testing.assert_array_equal(layer.grads[pname], 0.0)
 
+    def test_nan_gradient_names_the_tensor(self):
+        model = tiny_model()
+        model.layers[0].grads["filters"][0, 0, 1] = np.nan
+        with pytest.raises(FloatingPointError, match="level0.conv.filters"):
+            RmsProp().step(model)
+
     def test_monotone_descent_on_quadratic(self):
         # 1-D quadratic f(w) = w^2 handled with the raw update rule
         w, acc = 3.0, 0.0
