@@ -96,6 +96,8 @@ class RunConfig:
             raise ConfigError(f"unknown dataset {self.dataset!r}")
         if self.task not in ("binary", "multi"):
             raise ConfigError(f"unknown task {self.task!r}")
+        if self.subsample < 0:
+            raise ConfigError(f"subsample must be >= 0, got {self.subsample}")
         if need_folds and self.folds < 2:
             raise ConfigError(f"cross-validation needs folds >= 2, got {self.folds}")
         if self.dataset != "synthetic":
@@ -160,16 +162,21 @@ def load_run_dataset(cfg: RunConfig) -> DatasetTable:
     return table
 
 
-def make_spec(cfg: RunConfig, input_features: int, num_classes: int,
-              init_seed: int) -> LuNetSpec:
+def _configured(factory, **kwargs):
+    """`factory(**kwargs)`, with a ValueError it raises turned into a ConfigError."""
     try:
-        return LuNetSpec(
-            input_features=input_features, num_classes=num_classes,
-            levels=cfg.levels, kernel_size=cfg.kernel_size, pool_size=cfg.pool_size,
-            dropout_rate=cfg.dropout_rate, final_conv_filters=cfg.final_conv_filters,
-            init_seed=init_seed)
+        return factory(**kwargs)
     except ValueError as e:
         raise ConfigError(str(e)) from e
+
+
+def make_spec(cfg: RunConfig, input_features: int, num_classes: int,
+              init_seed: int) -> LuNetSpec:
+    return _configured(
+        LuNetSpec, input_features=input_features, num_classes=num_classes,
+        levels=cfg.levels, kernel_size=cfg.kernel_size, pool_size=cfg.pool_size,
+        dropout_rate=cfg.dropout_rate, final_conv_filters=cfg.final_conv_filters,
+        init_seed=init_seed)
 
 
 # Rows per infer-mode forward, picked by measurement: 1,024 rows through a
@@ -191,17 +198,16 @@ def _train_one_fold(cfg: RunConfig, table: DatasetTable, train_idx, val_idx,
     table = standardize(table, train_idx)
     x, (mean, std) = table.features, table.standardization
     spec = make_spec(cfg, x.shape[1], len(table.class_names), cfg.seed + fold)
-    try:
-        model = model_mod.build(spec)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    tc = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
+    model = _configured(model_mod.build, spec=spec)
+    tc = _configured(TrainConfig, epochs=cfg.epochs, batch_size=cfg.batch_size,
                      seed=cfg.seed + fold, shuffle=cfg.shuffle)
-    oc = RmsPropConfig(learning_rate=cfg.learning_rate, rho=cfg.rho,
-                       epsilon=cfg.opt_epsilon)
+    oc = _configured(RmsPropConfig, learning_rate=cfg.learning_rate, rho=cfg.rho,
+                     epsilon=cfg.opt_epsilon)
+    if tc.batch_size > len(train_idx):
+        raise ConfigError(f"batch_size {tc.batch_size} exceeds the {len(train_idx)} "
+                          f"training rows of fold {fold}")
     fit(model, x[train_idx], table.labels[train_idx], tc, oc,
         log=lambda line: print(f'{{"fold": {fold}, ' + line[1:]))
-    model.set_mode("infer")
     pred = predict_batched(model, x[val_idx])
     cm = confusion(table.labels[val_idx], pred, table.class_names)
     return model, mean, std, cm
@@ -224,7 +230,7 @@ def write_report(cfg: RunConfig, report: EvalReport):
 
 
 def assemble_report(per_fold_cms) -> EvalReport:
-    per_fold = [(fold, binary_metrics(cm, normal_index=0), cm)
+    per_fold = [(fold, binary_metrics(cm), cm)
                 for fold, cm in per_fold_cms]
     pooled = per_fold_cms[0][1].counts.copy()
     for _, cm in per_fold_cms[1:]:

@@ -273,28 +273,24 @@ def encode_categorical(raw: RawTable) -> tuple[np.ndarray, list]:
 
 
 def make_labels(raw: RawTable, task: str) -> tuple[np.ndarray, list]:
-    """Integer labels plus the ordered class vocabulary for the task."""
+    """Integer labels plus the ordered class vocabulary for the task; the
+    normal class is class 0 for both tasks."""
     schema = raw.schema
     if task == "binary":
         class_names = ["normal", "attack"]
-        labels = np.empty(raw.n_rows, dtype=np.int64)
-        for i, v in enumerate(raw.label_values):
-            cat = schema.class_map_multi.get(v)
-            if cat is None:
-                raise DataError(f"unmapped label value {v!r}")
-            labels[i] = 0 if cat == schema.normal_class else 1
-        return labels, class_names
-    if task == "multi":
+        index = {c: int(c != schema.normal_class) for c in schema.class_names_multi}
+    elif task == "multi":
         class_names = list(schema.class_names_multi)
-        order = {c: i for i, c in enumerate(class_names)}
-        labels = np.empty(raw.n_rows, dtype=np.int64)
-        for i, v in enumerate(raw.label_values):
-            cat = schema.class_map_multi.get(v)
-            if cat is None:
-                raise DataError(f"unmapped label value {v!r}")
-            labels[i] = order[cat]
-        return labels, class_names
-    raise ValueError(f"unknown task {task!r}")
+        index = {c: i for i, c in enumerate(class_names)}
+    else:
+        raise ValueError(f"unknown task {task!r}")
+    # each raw value is mapped to its category once, not once per row
+    label_of = {v: index[cat] for v, cat in schema.class_map_multi.items()}
+    try:
+        labels = [label_of[v] for v in raw.label_values]
+    except KeyError as e:
+        raise DataError(f"unmapped label value {e.args[0]!r}") from None
+    return np.array(labels, dtype=np.int64), class_names
 
 
 def prepare_dataset(raw: RawTable, task: str) -> DatasetTable:

@@ -1,11 +1,13 @@
 """Differentiable layers: 1D convolution, max pooling, batch normalization,
 LSTM, dropout, global average pooling, dense and softmax.
 
-Every layer but softmax caches its forward activations and exposes
-`backward(upstream)` which returns the gradient w.r.t. the layer input and
-accumulates parameter gradients into `self.grads` (same keys and shapes as
-`self.params`). Softmax has no backward of its own: training enters the stack
-below it with the fused softmax + cross-entropy gradient.
+Every layer but softmax exposes `backward(upstream)`, which returns the
+gradient w.r.t. the layer input and accumulates parameter gradients into
+`self.grads` (same keys and shapes as `self.params`). A train-mode forward
+keeps in `_cache` what backward needs; no layer builds backward state in infer
+mode, so there `_cache` is None and `backward` raises RuntimeError. Softmax
+has no backward of its own: training enters the stack below it with the fused
+softmax + cross-entropy gradient.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class Conv1D(Layer):
         tap = np.multiply if self.c_in == 1 else np.matmul
         for j in range(self.m):
             out += tap(x[:, j:j + l_out, :], taps[j])
-        self._cache = (x, l_out)
+        self._cache = (x, l_out) if mode == "train" else None
         return out
 
     def backward(self, upstream):
@@ -136,7 +138,7 @@ class MaxPool1D(Layer):
             raise ValueError(f"{self.name}: length {length} < pool size {self.pool}")
         n = length // self.pool
         xw = x[:, :n * self.pool, :].reshape(b, n, self.pool, c)
-        self._cache = (x.shape, xw)
+        self._cache = (x.shape, xw) if mode == "train" else None
         return xw.max(axis=2)
 
     def backward(self, upstream):
@@ -195,18 +197,16 @@ class BatchNorm(Layer):
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
         xhat = (x - mu) * inv_std
         n = int(np.prod([x.shape[a] for a in axes]))
-        self._cache = (xhat, inv_std, n, axes, mode)
+        self._cache = (xhat, inv_std, n, axes) if mode == "train" else None
         return self.params["gamma"] * xhat + self.params["beta"]
 
     def backward(self, upstream):
-        xhat, inv_std, n, axes, mode = self._require_cache()
+        xhat, inv_std, n, axes = self._require_cache()
         if upstream.shape != xhat.shape:
             raise ValueError(f"{self.name}: upstream shape {upstream.shape} mismatch")
         self.grads["gamma"] += (upstream * xhat).sum(axis=axes)
         self.grads["beta"] += upstream.sum(axis=axes)
         dxhat = upstream * self.params["gamma"]
-        if mode != "train":
-            return dxhat * inv_std
         return (inv_std / n) * (n * dxhat - dxhat.sum(axis=axes)
                                 - xhat * (dxhat * xhat).sum(axis=axes))
 
@@ -248,7 +248,8 @@ class LSTM(Layer):
         gates = (xt @ p["U"]).reshape(length, b, 4 * c)
         gates += p["b"]
         hs = np.zeros((length + 1, b, c))  # hs[t] is h(t-1); hs[0] is the zero state
-        ss = np.zeros((length + 1, b, c))
+        # train keeps every s(t) for backward; infer updates one row in place
+        ss = np.zeros((length + 1 if mode == "train" else 1, b, c))
         ig = np.empty((b, c))
         for t in range(length):
             z = gates[t]
@@ -258,13 +259,13 @@ class LSTM(Layer):
             np.tanh(g_g, out=g_g)
             sigmoid(f_q, out=f_q)
             f_g, q_g = f_q[:, :c], f_q[:, c:]
-            s, h = ss[t + 1], hs[t + 1]
-            np.multiply(f_g, ss[t], out=s)
+            s_prev, s, h = ss[t % len(ss)], ss[(t + 1) % len(ss)], hs[t + 1]
+            np.multiply(f_g, s_prev, out=s)
             np.multiply(i_g, g_g, out=ig)
             s += ig
             np.tanh(s, out=h)
             h *= q_g
-        self._cache = (x, gates, hs, ss)
+        self._cache = (x, gates, hs, ss) if mode == "train" else None
         return np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
 
     def backward(self, upstream):
@@ -302,8 +303,8 @@ class LSTM(Layer):
 
 class Dropout(Layer):
     """Inverted dropout: train-time zeroing with 1/(1-rate) survivor scaling;
-    inference is the exact identity. `frozen` re-uses the last drawn mask
-    (used by finite-difference gradient checks)."""
+    inference is the exact identity. Each train-mode forward draws a new mask
+    from `rng`, so re-seeding `rng` from its seed draws the same mask again."""
 
     def __init__(self, rate: float, rng: Rng, name: str = "dropout"):
         super().__init__(name)
@@ -311,26 +312,19 @@ class Dropout(Layer):
             raise ValueError(f"dropout rate must be in [0,1), got {rate}")
         self.rate = rate
         self.rng = rng
-        self.frozen = False
-        self._mask = None
 
     def forward(self, x, mode="train"):
-        if mode != "train" or self.rate == 0.0:
-            self._cache = ("identity", None)
+        if mode != "train":
+            self._cache = None
             return x
-        if self.frozen and self._mask is not None and self._mask.shape == x.shape:
-            mask = self._mask
-        else:
-            mask = (self.rng.uniform(x.shape) >= self.rate) / (1.0 - self.rate)
-            self._mask = mask
-        self._cache = ("masked", mask)
-        return x * mask
+        if self.rate == 0.0:
+            self._cache = 1.0  # the mask of rate 0
+            return x
+        self._cache = (self.rng.uniform(x.shape) >= self.rate) / (1.0 - self.rate)
+        return x * self._cache
 
     def backward(self, upstream):
-        kind, mask = self._require_cache()
-        if kind == "identity":
-            return upstream
-        return upstream * mask
+        return upstream * self._require_cache()
 
 
 class GlobalAvgPool(Layer):
@@ -342,7 +336,7 @@ class GlobalAvgPool(Layer):
     def forward(self, x, mode="train"):
         if x.ndim != 3:
             raise ValueError(f"{self.name}: expected rank-3 input, got {x.shape}")
-        self._cache = x.shape
+        self._cache = x.shape if mode == "train" else None
         return x.mean(axis=1)
 
     def backward(self, upstream):
@@ -364,7 +358,7 @@ class Dense(Layer):
     def forward(self, x, mode="train"):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"{self.name}: expected [batch, {self.in_dim}], got {x.shape}")
-        self._cache = x
+        self._cache = x if mode == "train" else None
         return x @ self.params["W"] + self.params["b"]
 
     def backward(self, upstream):

@@ -68,16 +68,14 @@ def _metrics_from_counts(tp: int, tn: int, fp: int, fn: int) -> MetricSet:
     return MetricSet(tp=tp, tn=tn, fp=fp, fn=fn, acc=acc, dr=dr, fpr=fpr)
 
 
-def binary_metrics(cm: ConfusionMatrix, normal_index: int = 0) -> MetricSet:
-    """Attack-vs-normal collapse: TP counts attacks classified as attacks."""
+def binary_metrics(cm: ConfusionMatrix) -> MetricSet:
+    """Attack-vs-normal collapse, with class 0 the normal class: TP counts
+    attacks classified as attacks."""
     m = cm.counts
-    n = normal_index
-    attack = np.ones(m.shape[0], dtype=bool)
-    attack[n] = False
-    tp = int(m[np.ix_(attack, attack)].sum())
-    fn = int(m[attack, n].sum())
-    fp = int(m[n, attack].sum())
-    tn = int(m[n, n])
+    tp = int(m[1:, 1:].sum())
+    fn = int(m[1:, 0].sum())
+    fp = int(m[0, 1:].sum())
+    tn = int(m[0, 0])
     return _metrics_from_counts(tp, tn, fp, fn)
 
 

@@ -89,8 +89,6 @@ class LuNetModel:
         out = x[:, :, None]
         for layer in self.layers:
             out = layer.forward(out, mode=self.mode)
-            if self.mode == "infer":
-                layer._cache = None  # only backward reads it
         return out
 
     def backward(self, delta: np.ndarray) -> np.ndarray:
@@ -126,9 +124,6 @@ class LuNetModel:
     def zero_grads(self):
         for layer in self.layers:
             layer.zero_grads()
-
-    def dropout_layers(self) -> list[Dropout]:
-        return [l for l in self.layers if isinstance(l, Dropout)]
 
 
 def build(spec: LuNetSpec) -> LuNetModel:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .layers import Dropout
 from .model import LuNetModel
 from .tensor import Rng
 
@@ -36,8 +37,10 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 2:  # batch-norm needs two rows in train mode
+            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
 
 
 def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
@@ -106,7 +109,7 @@ def iter_batches(n: int, tc: TrainConfig, epoch: int):
     order = Rng(tc.seed + epoch).permutation(n) if tc.shuffle else np.arange(n)
     for start in range(0, n, tc.batch_size):
         batch = order[start:start + tc.batch_size]
-        if len(batch) >= 2 or tc.batch_size == 1:
+        if len(batch) >= 2:
             yield batch
 
 
@@ -187,30 +190,34 @@ def gradient_check(loss_fn, entries: dict[str, tuple[np.ndarray, np.ndarray]],
     return report
 
 
+def _reseed_dropout(layers):
+    """Re-seed each dropout layer's Rng from its seed, so that every forward
+    after this one draws the same mask."""
+    for layer in layers:
+        if isinstance(layer, Dropout):
+            layer.rng = Rng(layer.rng.seed)
+
+
 def model_gradient_check(model: LuNetModel, x: np.ndarray, labels: np.ndarray,
                          samples: int = 25, seed: int = 0) -> dict[str, float]:
     """Finite-difference check of the whole stack through the fused
-    softmax + cross-entropy loss. Dropout masks are frozen for the duration."""
+    softmax + cross-entropy loss. Every forward re-seeds the dropout layers
+    first, so all draw the same masks; they stay re-seeded afterwards."""
     model.set_mode("train")
     y = one_hot(labels, model.spec.num_classes)
-    drops = model.dropout_layers()
-    frozen_before = [d.frozen for d in drops]
-    model.forward(x)  # draw the masks once
-    for d in drops:
-        d.frozen = True
-    try:
-        def loss_fn():
-            return cross_entropy_loss(model.forward(x), y)
 
-        model.zero_grads()
-        probs = model.forward(x)
-        model.backward(cross_entropy_delta(probs, y))
-        entries = {name: (value, layer.grads[pname])
-                   for name, layer, pname, value in model.named_params()}
-        return gradient_check(loss_fn, entries, samples=samples, seed=seed)
-    finally:
-        for d, f in zip(drops, frozen_before):
-            d.frozen = f
+    def forward():
+        _reseed_dropout(model.layers)
+        return model.forward(x)
+
+    def loss_fn():
+        return cross_entropy_loss(forward(), y)
+
+    model.zero_grads()
+    model.backward(cross_entropy_delta(forward(), y))
+    entries = {name: (value, layer.grads[pname])
+               for name, layer, pname, value in model.named_params()}
+    return gradient_check(loss_fn, entries, samples=samples, seed=seed)
 
 
 def standard_gradient_suite(corrupt: str | None = None, samples: int = 50) -> dict[str, float]:
@@ -226,18 +233,18 @@ def standard_gradient_suite(corrupt: str | None = None, samples: int = 50) -> di
 
     results: dict[str, float] = {}
 
-    def check(tag, layer, x, mode="train", weight_seed=11):
+    def check(tag, layer, x):
         w_holder = {}
 
         def loss_fn():
-            out = layer.forward(x, mode=mode)
+            _reseed_dropout([layer])
+            out = layer.forward(x)
             if "w" not in w_holder:
-                w_holder["w"] = Rng(weight_seed).normal(out.shape)
+                w_holder["w"] = Rng(11).normal(out.shape)
             return float((out * w_holder["w"]).sum())
 
-        loss_fn()
+        loss_fn()  # leaves the forward state that backward reads
         layer.zero_grads()
-        layer.forward(x, mode=mode)
         dx = layer.backward(w_holder["w"])
         entries = {f"{tag}.{p}": (layer.params[p], layer.grads[p]) for p in layer.params}
         entries[f"{tag}.input"] = (x, dx)
@@ -256,11 +263,7 @@ def standard_gradient_suite(corrupt: str | None = None, samples: int = 50) -> di
     check("relu", L.ReLU(), data_rng.normal((2, 6, 3)))
     check("gap", L.GlobalAvgPool(), data_rng.normal((2, 6, 3)))
 
-    drop = L.Dropout(0.5, Rng(6))
-    x = data_rng.normal((3, 8))
-    drop.forward(x)  # draw the mask once, then freeze it
-    drop.frozen = True
-    check("dropout", drop, x)
+    check("dropout", L.Dropout(0.5, Rng(6)), data_rng.normal((3, 8)))
 
     # fused softmax + cross-entropy: gradient w.r.t. logits is (p - y)/batch
     sm = L.Softmax()

@@ -1,14 +1,14 @@
-"""Command line boundaries: the settings table, mismatched evaluation columns,
-non-finite or non-UTF-8 CSV cells, corrupt checkpoints and non-finite
-parameters each end in their documented exit code."""
+"""Command line boundaries: the settings table, bad train settings, mismatched
+evaluation columns, non-finite or non-UTF-8 CSV cells, corrupt checkpoints and
+non-finite parameters each end in their documented exit code."""
 
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from lunet.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, ConfigError, RunConfig,
-                       build_run_config, main, make_parser, parse_config_file)
+from lunet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, ConfigError,
+                       RunConfig, build_run_config, main, make_parser, parse_config_file)
 from lunet.model import LuNetModel
 
 
@@ -92,6 +92,23 @@ def test_nan_gradient_exits_4_naming_the_tensor(tmp_path, monkeypatch, capsys):
     assert main(["train", "--dataset", "synthetic", "--levels", "4", "--epochs", "1",
                  "--output-dir", str(tmp_path)]) == EXIT_NUMERIC
     assert "non-finite parameter head.dense.W" in capsys.readouterr().err
+
+
+# 512 synthetic rows, fold 0 of 5 held out: 408 training rows
+@pytest.mark.parametrize("flag,value,message", [
+    ("--epochs", "0", "epochs must be >= 1"),
+    ("--lr", "0", "learning_rate must be > 0"),
+    ("--batch-size", "1", "batch_size must be >= 2"),
+    ("--batch-size", "600", "batch_size 600 exceeds the 408 training rows"),
+    ("--subsample", "-5", "subsample must be >= 0"),
+])
+def test_bad_train_setting_exits_2(tmp_path, capsys, flag, value, message):
+    argv = ["train", "--dataset", "synthetic", "--levels", "4", "--epochs", "1",
+            "--output-dir", str(tmp_path), flag, value]
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err and out == ""
 
 
 def test_settings_table_declares_every_key_and_flag_once():

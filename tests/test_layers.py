@@ -332,6 +332,7 @@ class TestLstm:
         x = Rng(batch).normal((batch, length, cells))
         upstream = Rng(batch + 1).normal((batch, length, cells))
         out, d_u, d_w, d_b, dx = lstm_batch_major(lstm.params, x, upstream)
+        np.testing.assert_array_equal(lstm.forward(x, mode="infer"), out)
         np.testing.assert_array_equal(lstm.forward(x), out)
         np.testing.assert_array_equal(lstm.backward(upstream), dx)
         np.testing.assert_array_equal(lstm.grads["U"], d_u)
@@ -350,6 +351,12 @@ class TestDropout:
         d = Dropout(0.0, Rng(1))
         x = Rng(2).normal((4, 5))
         assert d.forward(x, mode="train") is x
+
+    def test_rate_zero_backward_passes_upstream_through(self):
+        d = Dropout(0.0, Rng(1))
+        d.forward(Rng(2).normal((4, 5)))
+        up = Rng(3).normal((4, 5))
+        np.testing.assert_array_equal(d.backward(up), up)
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError):
@@ -440,14 +447,28 @@ class TestBackwardContracts:
         dx = r.backward(np.ones_like(x))
         np.testing.assert_array_equal(dx, [[0.0, 1.0, 0.0]])
 
-    def test_relu_keeps_no_mask_in_infer_mode(self):
-        r = ReLU()
-        x = np.array([[-1.0, 2.0, -3.0]])
-        r.forward(x)
-        r.forward(x, mode="infer")
-        assert r._cache is None
-        with pytest.raises(RuntimeError):
-            r.backward(np.ones_like(x))
+    # every layer type with a backward, each with an input it accepts
+    @pytest.mark.parametrize("make_layer,shape", [
+        (lambda: Conv1D(3, 4, 3, Rng(0)), (4, 8, 3)),
+        (ReLU, (4, 8, 3)),
+        (lambda: MaxPool1D(2), (4, 8, 3)),
+        (lambda: BatchNorm(3), (4, 8, 3)),
+        (lambda: LSTM(3, 4, Rng(0)), (4, 8, 3)),
+        (lambda: Dropout(0.5, Rng(0)), (4, 8, 3)),
+        (lambda: Dropout(0.0, Rng(0)), (4, 8, 3)),
+        (GlobalAvgPool, (4, 8, 3)),
+        (lambda: Dense(3, 2, Rng(0)), (4, 3)),
+    ], ids=["conv", "relu", "maxpool", "batchnorm", "lstm", "dropout", "dropout_rate0",
+            "gap", "dense"])
+    def test_infer_forward_keeps_no_backward_state(self, make_layer, shape):
+        layer = make_layer()
+        x = Rng(1).normal(shape)
+        out = layer.forward(x)
+        assert layer._cache is not None
+        layer.forward(x, mode="infer")
+        assert layer._cache is None
+        with pytest.raises(RuntimeError, match="without a prior forward"):
+            layer.backward(np.ones_like(out))
 
     def test_upstream_shape_mismatch(self):
         d = Dense(3, 2, Rng(0))
