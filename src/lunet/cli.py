@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -45,8 +46,12 @@ def _path_list(v: str) -> tuple:
     return tuple(p for p in v.split(",") if p)
 
 
-def _truthy(v: str) -> bool:
-    return v.lower() in ("1", "true", "yes")
+def finite_float(v: str) -> float:
+    """A finite float (no NaN or +-inf); argparse quotes this name in errors."""
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"{v!r} is not a finite number")
+    return x
 
 
 def _setting(default, key: str, parse, flag: str | None = None, **argparse_kwargs):
@@ -78,29 +83,31 @@ class RunConfig:
                              help="comma-separated level widths")
     kernel_size: int = _setting(3, "model.kernel_size", int)
     pool_size: int = _setting(2, "model.pool_size", int)
-    dropout_rate: float = _setting(0.5, "model.dropout_rate", float)
+    dropout_rate: float = _setting(0.5, "model.dropout_rate", finite_float)
     final_conv_filters: int = _setting(256, "model.final_conv_filters", int)
     epochs: int = _setting(20, "train.epochs", int, "--epochs")
     batch_size: int = _setting(32, "train.batch_size", int, "--batch-size")
-    shuffle: bool = _setting(True, "train.shuffle", _truthy)
-    learning_rate: float = _setting(0.001, "optimizer.learning_rate", float, "--lr")
-    rho: float = _setting(0.9, "optimizer.rho", float)
-    opt_epsilon: float = _setting(1e-7, "optimizer.epsilon", float)
+    learning_rate: float = _setting(0.001, "optimizer.learning_rate", finite_float, "--lr")
+    rho: float = _setting(0.9, "optimizer.rho", finite_float)
+    opt_epsilon: float = _setting(1e-7, "optimizer.epsilon", finite_float)
     synth_samples: int = _setting(512, "synth.samples", int)
     synth_features: int = _setting(64, "synth.features", int)
-    synth_separation: float = _setting(4.0, "synth.separation", float)
-    synth_classes: int = _setting(0, "synth.classes", int)  # 0 = derive from task
+    synth_separation: float = _setting(4.0, "synth.separation", finite_float)
 
-    def validate(self, need_folds: bool = False):
+    def validate(self):
         if self.dataset not in ("synthetic", *SCHEMAS):
             raise ConfigError(f"unknown dataset {self.dataset!r}")
         if self.task not in ("binary", "multi"):
             raise ConfigError(f"unknown task {self.task!r}")
         if self.subsample < 0:
             raise ConfigError(f"subsample must be >= 0, got {self.subsample}")
-        if need_folds and self.folds < 2:
-            raise ConfigError(f"cross-validation needs folds >= 2, got {self.folds}")
-        if self.dataset != "synthetic":
+        if self.dataset == "synthetic":
+            for key, value in (("synth.samples", self.synth_samples),
+                               ("synth.features", self.synth_features),
+                               ("synth.separation", self.synth_separation)):
+                if value <= 0:
+                    raise ConfigError(f"{key} must be > 0, got {value}")
+        else:
             if not self.data_paths:
                 raise ConfigError(f"dataset {self.dataset!r} requires --data-path")
             for p in self.data_paths:
@@ -149,9 +156,8 @@ def build_run_config(args) -> RunConfig:
 def load_run_dataset(cfg: RunConfig) -> DatasetTable:
     """Raw (unstandardized) encoded table for the configured dataset."""
     if cfg.dataset == "synthetic":
-        classes = cfg.synth_classes or (2 if cfg.task == "binary" else 5)
-        table = synth_dataset(classes, cfg.synth_samples, cfg.synth_features,
-                              cfg.synth_separation, cfg.seed)
+        table = synth_dataset(2 if cfg.task == "binary" else 5, cfg.synth_samples,
+                              cfg.synth_features, cfg.synth_separation, cfg.seed)
     else:
         schema = SCHEMAS[cfg.dataset]
         raw = load_csv(cfg.data_paths[0], schema, cfg.data_paths[1:])
@@ -200,7 +206,7 @@ def _train_one_fold(cfg: RunConfig, table: DatasetTable, train_idx, val_idx,
     spec = make_spec(cfg, x.shape[1], len(table.class_names), cfg.seed + fold)
     model = _configured(model_mod.build, spec=spec)
     tc = _configured(TrainConfig, epochs=cfg.epochs, batch_size=cfg.batch_size,
-                     seed=cfg.seed + fold, shuffle=cfg.shuffle)
+                     seed=cfg.seed + fold)
     oc = _configured(RmsPropConfig, learning_rate=cfg.learning_rate, rho=cfg.rho,
                      epsilon=cfg.opt_epsilon)
     if tc.batch_size > len(train_idx):
@@ -243,7 +249,9 @@ def assemble_report(per_fold_cms) -> EvalReport:
 
 
 def cmd_crossval(cfg: RunConfig) -> int:
-    cfg.validate(need_folds=True)
+    cfg.validate()
+    if cfg.folds < 2:
+        raise ConfigError(f"cross-validation needs folds >= 2, got {cfg.folds}")
     table = load_run_dataset(cfg)
     plan = stratified_kfold(table.labels, cfg.folds, cfg.seed)
     cms = []
@@ -292,8 +300,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(corrupt: str | None = None) -> int:
-    results = standard_gradient_suite(corrupt=corrupt)
+def cmd_gradcheck() -> int:
+    results = standard_gradient_suite()
     failed = []
     for name, err in results.items():
         ok = err < GRADCHECK_TOLERANCE

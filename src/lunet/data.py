@@ -22,18 +22,14 @@ NUMERIC, CATEGORICAL, LABEL, DROP = "numeric", "categorical", "label", "drop"
 
 @dataclass(frozen=True)
 class DatasetSchema:
-    name: str
     columns: tuple[tuple[str, str], ...]  # full file row order: (name, kind)
-    class_names_multi: tuple[str, ...]
+    class_names_multi: tuple[str, ...]  # the normal class comes first
     class_map_multi: dict  # raw label value -> multi-class name
-    normal_class: str = "Normal"
+    label_aliases: dict  # stripped label cell -> the raw label value it stands for
 
     @property
     def feature_columns(self):
         return tuple((n, k) for n, k in self.columns if k in (NUMERIC, CATEGORICAL))
-
-    def normalize_label(self, value: str) -> str:
-        return value.strip()
 
 
 _NSL_KDD_FEATURES = [
@@ -73,11 +69,11 @@ for _cat, _attacks in _NSL_KDD_ATTACK_GROUPS.items():
         _NSL_KDD_CLASS_MAP[_a] = _cat
 
 NSL_KDD = DatasetSchema(
-    name="nsl-kdd",
     # 41 features, the attack-name label, then the difficulty score (dropped)
     columns=tuple(_NSL_KDD_FEATURES) + (("class_label", LABEL), ("difficulty", DROP)),
     class_names_multi=("Normal", "DoS", "Probe", "R2L", "U2R"),
     class_map_multi=_NSL_KDD_CLASS_MAP,
+    label_aliases={},
 )
 
 _UNSW_FEATURES = [
@@ -100,24 +96,13 @@ _UNSW_FEATURES = [
 _UNSW_CLASSES = ("Normal", "Analysis", "Backdoor", "DoS", "Exploits", "Fuzzers",
                  "Generic", "Reconnaissance", "Shellcode", "Worms")
 
-
-class _UnswSchema(DatasetSchema):
-    def normalize_label(self, value: str) -> str:
-        v = value.strip()
-        if v == "":
-            # benign rows carry an empty attack category in the raw files
-            return self.normal_class
-        if v == "Backdoors":
-            return "Backdoor"
-        return v
-
-
-UNSW_NB15 = _UnswSchema(
-    name="unsw-nb15",
+UNSW_NB15 = DatasetSchema(
     columns=(("id", DROP),) + tuple(_UNSW_FEATURES)
     + (("attack_cat", LABEL), ("label", DROP)),
     class_names_multi=_UNSW_CLASSES,
     class_map_multi={c: c for c in _UNSW_CLASSES},
+    # benign rows carry an empty attack category in the raw files
+    label_aliases={"": "Normal", "Backdoors": "Backdoor"},
 )
 
 SCHEMAS = {"nsl-kdd": NSL_KDD, "unsw-nb15": UNSW_NB15}
@@ -149,7 +134,6 @@ class DatasetTable:
 
 @dataclass
 class FoldPlan:
-    k: int
     assignments: np.ndarray  # per-sample fold index in [0, k)
 
     def val_indices(self, fold: int) -> np.ndarray:
@@ -192,6 +176,7 @@ def load_csv(path, schema: DatasetSchema, paths_extra=()) -> RawTable:
     expected = len(names)
     columns = {n: [] for n, k in schema.columns if k in (NUMERIC, CATEGORICAL)}
     label_values = []
+    aliases = schema.label_aliases
     starts = []  # (file, index of its first row in the merged table)
     for p in (path, *paths_extra):
         starts.append((p, len(label_values)))
@@ -222,7 +207,8 @@ def load_csv(path, schema: DatasetSchema, paths_extra=()) -> RawTable:
                     if kind == DROP:
                         continue
                     if kind == LABEL:
-                        label_values.append(schema.normalize_label(cell))
+                        label = cell.strip()
+                        label_values.append(aliases.get(label, label))
                     elif kind == CATEGORICAL:
                         columns[name].append(cell.strip())
                     else:
@@ -274,11 +260,11 @@ def encode_categorical(raw: RawTable) -> tuple[np.ndarray, list]:
 
 def make_labels(raw: RawTable, task: str) -> tuple[np.ndarray, list]:
     """Integer labels plus the ordered class vocabulary for the task; the
-    normal class is class 0 for both tasks."""
+    normal class, first in `class_names_multi`, is class 0 for both tasks."""
     schema = raw.schema
     if task == "binary":
         class_names = ["normal", "attack"]
-        index = {c: int(c != schema.normal_class) for c in schema.class_names_multi}
+        index = {c: int(i > 0) for i, c in enumerate(schema.class_names_multi)}
     elif task == "multi":
         class_names = list(schema.class_names_multi)
         index = {c: i for i, c in enumerate(class_names)}
@@ -325,7 +311,7 @@ def standardize(table: DatasetTable, fit_rows: np.ndarray) -> DatasetTable:
 
 
 def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldPlan:
-    """Per class: seeded shuffle, then deal round-robin into k folds."""
+    """Per class: seeded permutation, then deal round-robin into k folds."""
     if k < 2:
         raise ValueError(f"fold count must be >= 2, got {k}")
     labels = np.asarray(labels)
@@ -335,9 +321,9 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldPlan:
         idx = np.flatnonzero(labels == c)
         if len(idx) < k:
             raise DataError(f"class {c} has {len(idx)} samples, fewer than k={k}")
-        shuffled = idx[rng.permutation(len(idx))]
-        assignments[shuffled] = np.arange(len(idx)) % k
-    return FoldPlan(k=k, assignments=assignments)
+        order = idx[rng.permutation(len(idx))]
+        assignments[order] = np.arange(len(idx)) % k
+    return FoldPlan(assignments=assignments)
 
 
 def stratified_subsample(labels: np.ndarray, n: int, seed: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 from lunet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_GRADCHECK, EXIT_OK,
                        RunConfig, build_run_config, cmd_gradcheck, main,
                        make_parser, parse_config_file)
+from lunet.layers import Conv1D
 from lunet.metrics import parse_report
 
 FAST = ["--dataset", "synthetic", "--task", "binary", "--levels", "8",
@@ -168,8 +169,16 @@ class TestGradcheckCommand:
         assert all(r["pass"] for r in records)
         assert "gradcheck passed" in out
 
-    def test_failure_names_the_layer_and_exits_5(self, capsys):
-        assert cmd_gradcheck(corrupt="conv1d") == EXIT_GRADCHECK
+    def test_failure_names_the_layer_and_exits_5(self, capsys, monkeypatch):
+        backward = Conv1D.backward
+
+        def skewed(self, upstream):  # a wrong filter gradient, as a bug would give
+            dx = backward(self, upstream)
+            self.grads["filters"] += 1e-2
+            return dx
+
+        monkeypatch.setattr(Conv1D, "backward", skewed)
+        assert cmd_gradcheck() == EXIT_GRADCHECK
         out = capsys.readouterr().out
         assert "gradcheck FAILED" in out
         assert "conv1d" in out.splitlines()[-1]

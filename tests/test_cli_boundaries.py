@@ -1,6 +1,7 @@
-"""Command line boundaries: the settings table, bad train settings, mismatched
-evaluation columns, non-finite or non-UTF-8 CSV cells, corrupt checkpoints and
-non-finite parameters each end in their documented exit code."""
+"""Command line boundaries: the settings table, bad train, float and synthetic
+settings, mismatched evaluation columns, non-finite or non-UTF-8 CSV cells,
+corrupt checkpoints and non-finite parameters each end in their documented
+exit code."""
 
 from dataclasses import fields
 
@@ -111,10 +112,44 @@ def test_bad_train_setting_exits_2(tmp_path, capsys, flag, value, message):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_lr_flag_exits_2(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as e:
+        main(["train", "--dataset", "synthetic", "--levels", "4", "--epochs", "1",
+              "--output-dir", str(tmp_path), f"--lr={value}"])
+    assert e.value.code == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "argument --lr" in err and "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("line,message", [
+    ("optimizer.learning_rate = nan", "bad optimizer.learning_rate value"),
+    ("optimizer.rho = -inf", "bad optimizer.rho value"),
+    ("optimizer.epsilon = inf", "bad optimizer.epsilon value"),
+    ("model.dropout_rate = nan", "bad model.dropout_rate value"),
+    ("synth.separation = nan", "bad synth.separation value"),
+    ("synth.samples = 0", "synth.samples must be > 0, got 0"),
+    ("synth.samples = -3", "synth.samples must be > 0, got -3"),
+    ("synth.features = 0", "synth.features must be > 0, got 0"),
+    ("synth.separation = 0", "synth.separation must be > 0, got 0.0"),
+    ("train.shuffle = maybe", "bad config entry 'train.shuffle = maybe'"),
+    ("synth.classes = -1", "bad config entry 'synth.classes = -1'"),
+])
+def test_bad_config_setting_exits_2(tmp_path, capsys, line, message):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(line + "\n")
+    argv = ["train", "--dataset", "synthetic", "--levels", "4", "--epochs", "1",
+            "--output-dir", str(tmp_path), "--config", str(cfg_file)]
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_settings_table_declares_every_key_and_flag_once():
     keys = [f.metadata["key"] for f in fields(RunConfig)]
     flags = [f.metadata["flag"] for f in fields(RunConfig) if f.metadata["flag"]]
-    assert len(keys) == len(set(keys)) == 23
+    assert len(keys) == len(set(keys)) == 21
     assert len(flags) == len(set(flags)) == 12  # plus --config
     assert build_run_config(make_parser().parse_args(["train"])) == RunConfig()
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from lunet import LuNetSpec, build
+from lunet.layers import Conv1D
 from lunet.train import (gradient_check, model_gradient_check,
                          standard_gradient_suite)
 from lunet.tensor import Rng
@@ -22,8 +23,16 @@ def test_dense_layer_is_very_tight():
     assert results["dense"] < 1e-6
 
 
-def test_corruption_hook_is_detected():
-    results = standard_gradient_suite(corrupt="conv1d")
+def test_corruption_hook_is_detected(monkeypatch):
+    backward = Conv1D.backward
+
+    def skewed(self, upstream):  # a wrong filter gradient, as a bug would give
+        dx = backward(self, upstream)
+        self.grads["filters"] += 1e-2
+        return dx
+
+    monkeypatch.setattr(Conv1D, "backward", skewed)
+    results = standard_gradient_suite()
     assert results["conv1d"] > 1e-4
     assert results["dense"] < 1e-4
 

@@ -1,13 +1,15 @@
 """Every name that `src/lunet` defines has a caller in `src/lunet` itself.
 
 A module-level function, class or constant, or a method, that only tests
-reach is dead weight: this walks the package with `ast` and fails on any
-definition nothing in the package refers to. A module-level name counts as
-used through a bare `Name`, an `Attribute` or an import; a method, property
-or class-level constant only through an attribute load (`obj.name`), so a
-local variable of the same name does not keep it alive. Names are matched
-bare, not by class: two methods with the same name still hide each other
-(an unused `LSTM.step` once passed because `RmsProp.step` is called).
+reach is dead weight, and so is a dataclass field nothing reads: this walks
+the package with `ast` and fails on any definition nothing in the package
+refers to. A module-level name counts as used through a bare `Name`, an
+`Attribute` or an import; a method, property, class-level constant or
+annotated field only through an attribute load (`obj.name`), so a local
+variable or keyword argument of the same name does not keep it alive. Names
+are matched bare, not by class: two methods with the same name still hide
+each other (an unused `LSTM.step` once passed because `RmsProp.step` is
+called).
 """
 
 import ast
@@ -33,7 +35,8 @@ def _assigned(node):
 
 def definitions(tree: ast.Module):
     """(qualified name, bare name, is class member) of every module-level
-    function, class and constant, and every method and class-level constant."""
+    function, class and constant, and every method, class-level constant and
+    annotated class attribute (dataclass field)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.name, False
@@ -44,7 +47,7 @@ def definitions(tree: ast.Module):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     yield f"{node.name}.{item.name}", item.name, True
-                elif isinstance(item, ast.Assign):
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
                     for name in _assigned(item):
                         yield f"{node.name}.{name}", name, True
 
