@@ -174,7 +174,6 @@ def load_checkpoint(path):
                 [stored(f"{name}_{gate}", gate_shape) for gate in "pgfq"], axis=-1)
         else:
             layer.params[pname] = stored(name, value.shape)
-        layer.grads[pname] = np.zeros_like(value)
     for name, value in model.named_state():
         value[...] = stored(name, value.shape)
     model.set_mode("infer")

@@ -19,7 +19,7 @@ from . import model as model_mod
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (SCHEMAS, DataError, DatasetTable, apply_standardization,
                    load_csv, prepare_dataset, standardize, stratified_kfold,
-                   stratified_subsample, synth_dataset)
+                   stratified_subsample, synth_dataset, utf8_lines)
 from .metrics import (EvalReport, aggregate_folds, binary_metrics, confusion,
                       confusion_csv, per_class_metrics, render_report)
 from .model import LuNetSpec
@@ -32,6 +32,7 @@ EXIT_NUMERIC = 4
 EXIT_GRADCHECK = 5
 
 GRADCHECK_TOLERANCE = 1e-4
+TRAIN_FOLDS = 5  # `train` holds out fold 0 of this many
 
 
 class ConfigError(Exception):
@@ -123,7 +124,7 @@ def parse_config_file(path: str) -> dict:
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            for i, line in enumerate(fh, 1):
+            for i, line in enumerate(utf8_lines(fh, path), 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -138,6 +139,8 @@ def parse_config_file(path: str) -> dict:
                     raise ConfigError(f"{path} line {i}: bad {key} value: {e}") from None
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
+    except DataError as e:  # a byte that is not UTF-8
+        raise ConfigError(str(e)) from None
     return out
 
 
@@ -153,18 +156,36 @@ def build_run_config(args) -> RunConfig:
     return replace(cfg, **overrides)
 
 
-def load_run_dataset(cfg: RunConfig) -> DatasetTable:
-    """Raw (unstandardized) encoded table for the configured dataset."""
+def _require_folds(labels: np.ndarray, folds: int, setting: str):
+    """ConfigError naming `setting` if a class has fewer rows than `folds`."""
+    classes, counts = np.unique(labels, return_counts=True)
+    i = int(np.argmin(counts))
+    if counts[i] < folds:
+        raise ConfigError(f"{setting} leaves class {classes[i]} with {counts[i]} samples, "
+                          f"fewer than the split's k={folds}")
+
+
+def load_run_dataset(cfg: RunConfig, folds: int = 0) -> DatasetTable:
+    """Raw (unstandardized) encoded table for the configured dataset.
+
+    A table that `synth.samples` or `subsample` leaves with a class of fewer
+    rows than the `folds` of the split to come is a config error; a dataset
+    file too small on its own is left to the split's DataError.
+    """
     if cfg.dataset == "synthetic":
         table = synth_dataset(2 if cfg.task == "binary" else 5, cfg.synth_samples,
                               cfg.synth_features, cfg.synth_separation, cfg.seed)
+        _require_folds(table.labels, folds, f"synth.samples = {cfg.synth_samples}")
     else:
         schema = SCHEMAS[cfg.dataset]
         raw = load_csv(cfg.data_paths[0], schema, cfg.data_paths[1:])
         table = prepare_dataset(raw, cfg.task)
     if cfg.subsample and cfg.subsample < table.features.shape[0]:
+        fits = np.unique(table.labels, return_counts=True)[1].min() >= folds
         idx = stratified_subsample(table.labels, cfg.subsample, cfg.seed)
         table = replace(table, features=table.features[idx], labels=table.labels[idx])
+        if fits:
+            _require_folds(table.labels, folds, f"subsample = {cfg.subsample}")
     return table
 
 
@@ -252,7 +273,7 @@ def cmd_crossval(cfg: RunConfig) -> int:
     cfg.validate()
     if cfg.folds < 2:
         raise ConfigError(f"cross-validation needs folds >= 2, got {cfg.folds}")
-    table = load_run_dataset(cfg)
+    table = load_run_dataset(cfg, cfg.folds)
     plan = stratified_kfold(table.labels, cfg.folds, cfg.seed)
     cms = []
     for fold in range(cfg.folds):
@@ -264,10 +285,10 @@ def cmd_crossval(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    """Single-split convenience: stratified k=5, fold 0 held out."""
+    """Single-split convenience: stratified k=TRAIN_FOLDS, fold 0 held out."""
     cfg.validate()
-    table = load_run_dataset(cfg)
-    plan = stratified_kfold(table.labels, 5, cfg.seed)
+    table = load_run_dataset(cfg, TRAIN_FOLDS)
+    plan = stratified_kfold(table.labels, TRAIN_FOLDS, cfg.seed)
     model, mean, std, cm = _train_one_fold(
         cfg, table, plan.train_indices(0), plan.val_indices(0), 0)
     os.makedirs(cfg.output_dir, exist_ok=True)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -143,7 +144,12 @@ class FoldPlan:
         return np.flatnonzero(self.assignments != fold)
 
 
-def _utf8_lines(fh, p):
+# Rows parsed per column block: enough that per-block overhead vanishes, few
+# enough that one block of cell strings stays a few MB.
+CSV_BLOCK = 4096
+
+
+def utf8_lines(fh, p):
     """The lines of text file `fh` (path `p`); text that is not UTF-8 is a
     DataError naming the line of the first bad byte."""
     try:
@@ -162,6 +168,58 @@ def _utf8_lines(fh, p):
         raise DataError(f"{p}: not UTF-8 text ({e})") from None
 
 
+def _data_rows(reader, feature_names):
+    """The non-blank rows of one file, less a header row: a first non-blank
+    row that names at least two feature columns."""
+    first = True
+    for cells in reader:
+        if not cells:
+            continue
+        if first:
+            first = False
+            if len({c.strip().lower() for c in cells} & feature_names) >= 2:
+                continue
+        yield cells
+
+
+def _blocks(rows):
+    """`rows` in lists of up to CSV_BLOCK. An error raised while reading (a
+    byte that is not UTF-8) follows the block of the rows read before it, so
+    that their own faults come first, as they do row by row."""
+    while True:
+        block = []
+        try:
+            for cells in islice(rows, CSV_BLOCK):
+                block.append(cells)
+        except DataError:
+            if block:
+                yield block
+            raise
+        if block:
+            yield block
+        if len(block) < CSV_BLOCK:
+            return
+
+
+def _first_fault(p, rows, rows_before, schema) -> DataError:
+    """The error of the first faulty row of `rows`, which follow `rows_before`
+    data rows of file `p`: a wrong cell count, else the first numeric cell in
+    schema order that does not parse."""
+    expected = len(schema.columns)
+    for row_no, cells in enumerate(rows, rows_before + 1):
+        if len(cells) != expected:
+            return DataError(
+                f"{p} row {row_no}: expected {expected} columns, found {len(cells)}")
+        for (name, kind), cell in zip(schema.columns, cells):
+            if kind == NUMERIC:
+                try:
+                    float(cell)
+                except ValueError:
+                    return DataError(f"{p} row {row_no}, column {name!r}: "
+                                     f"unparseable numeric cell {cell!r}")
+    raise AssertionError("no faulty row in the block")
+
+
 def load_csv(path, schema: DatasetSchema, paths_extra=()) -> RawTable:
     """Parse one or more delimited files against the schema's column order.
 
@@ -169,12 +227,14 @@ def load_csv(path, schema: DatasetSchema, paths_extra=()) -> RawTable:
     Every file must be UTF-8 text holding at least one data row, and every
     numeric cell must parse to a finite number. Errors name the file, the row
     (data rows are counted from 1 in each file) and the column; a byte that is
-    not UTF-8 is named by its file line.
+    not UTF-8 is named by its file line. Rows are parsed `CSV_BLOCK` at a time,
+    column by column, and a block with a fault is searched row by row, so the
+    error reported is the one in the earliest row.
     """
-    names = [n for n, _ in schema.columns]
-    kinds = dict(schema.columns)
-    expected = len(names)
-    columns = {n: [] for n, k in schema.columns if k in (NUMERIC, CATEGORICAL)}
+    expected = len(schema.columns)
+    feature_names = {n for n, _ in schema.feature_columns}
+    # numeric columns collect one array per block, categorical ones strings
+    columns = {n: [] for n, _ in schema.feature_columns}
     label_values = []
     aliases = schema.label_aliases
     starts = []  # (file, index of its first row in the merged table)
@@ -186,43 +246,28 @@ def load_csv(path, schema: DatasetSchema, paths_extra=()) -> RawTable:
         except OSError as e:
             raise DataError(f"cannot open dataset file {p}: {e}") from e
         with fh:
-            reader = csv.reader(_utf8_lines(fh, p))
-            first = True
-            for cells in reader:
-                if not cells:
-                    continue
-                if first:
-                    first = False
-                    lowered = {c.strip().lower() for c in cells}
-                    feature_names = {n for n, k in schema.columns
-                                     if k in (NUMERIC, CATEGORICAL)}
-                    if len(lowered & feature_names) >= 2:
-                        continue  # header row
-                row_no += 1
-                if len(cells) != expected:
-                    raise DataError(
-                        f"{p} row {row_no}: expected {expected} columns, found {len(cells)}")
-                for name, cell in zip(names, cells):
-                    kind = kinds[name]
-                    if kind == DROP:
-                        continue
-                    if kind == LABEL:
-                        label = cell.strip()
-                        label_values.append(aliases.get(label, label))
-                    elif kind == CATEGORICAL:
-                        columns[name].append(cell.strip())
-                    else:
-                        try:
-                            columns[name].append(float(cell))
-                        except ValueError:
-                            raise DataError(
-                                f"{p} row {row_no}, column {name!r}: "
-                                f"unparseable numeric cell {cell!r}") from None
+            rows = _data_rows(csv.reader(utf8_lines(fh, p)), feature_names)
+            for block in _blocks(rows):
+                n = len(block)
+                if set(map(len, block)) != {expected}:
+                    raise _first_fault(p, block, row_no, schema)
+                try:
+                    for (name, kind), cells in zip(schema.columns, zip(*block)):
+                        if kind == NUMERIC:
+                            columns[name].append(np.fromiter(map(float, cells), np.float64, n))
+                        elif kind == CATEGORICAL:
+                            columns[name].extend(map(str.strip, cells))
+                        elif kind == LABEL:
+                            labels = list(map(str.strip, cells))
+                            label_values.extend(map(aliases.get, labels, labels))
+                except ValueError:
+                    raise _first_fault(p, block, row_no, schema) from None
+                row_no += n
         if row_no == 0:
             raise DataError(f"{p}: no data rows")
-    for name, kind in schema.columns:
+    for name, kind in schema.feature_columns:
         if kind == NUMERIC:
-            col = np.asarray(columns[name], dtype=np.float64)
+            col = np.concatenate(columns[name])
             finite = np.isfinite(col)
             if not finite.all():
                 i = int(np.argmin(finite))  # the first non-finite row
@@ -239,23 +284,28 @@ def encode_categorical(raw: RawTable) -> tuple[np.ndarray, list]:
     Vocabularies are computed over the full table and indicator columns are
     ordered lexicographically, so the encoded width never varies per fold.
     """
-    blocks, encoded_columns = [], []
     n = raw.n_rows
+    vocabs, encoded_columns = {}, []
+    for name, kind in raw.schema.feature_columns:
+        if kind == NUMERIC:
+            encoded_columns.append(name)
+        else:
+            vocabs[name] = vocab = sorted(set(raw.columns[name]))
+            if not vocab:
+                raise DataError(f"categorical column {name!r} is empty")
+            encoded_columns.extend(f"{name}={v}" for v in vocab)
+    features = np.zeros((n, len(encoded_columns)))
+    j = 0
     for name, kind in raw.schema.feature_columns:
         col = raw.columns[name]
         if kind == NUMERIC:
-            blocks.append(np.asarray(col, dtype=np.float64).reshape(n, 1))
-            encoded_columns.append(name)
+            features[:, j] = col
+            j += 1
         else:
-            vocab = sorted(set(col))
-            if not vocab:
-                raise DataError(f"categorical column {name!r} is empty")
-            index = {v: i for i, v in enumerate(vocab)}
-            block = np.zeros((n, len(vocab)))
-            block[np.arange(n), [index[v] for v in col]] = 1.0
-            blocks.append(block)
-            encoded_columns.extend(f"{name}={v}" for v in vocab)
-    return np.hstack(blocks), encoded_columns
+            index = {v: i for i, v in enumerate(vocabs[name], j)}
+            features[np.arange(n), [index[v] for v in col]] = 1.0
+            j += len(index)
+    return features, encoded_columns
 
 
 def make_labels(raw: RawTable, task: str) -> tuple[np.ndarray, list]:
@@ -290,15 +340,20 @@ def fit_standardization(features: np.ndarray, fit_rows: np.ndarray):
     """Per-column population mean/std computed on `fit_rows` only."""
     if len(fit_rows) == 0:
         raise ValueError("fit_rows must be non-empty")
-    sub = features[fit_rows]
-    return sub.mean(axis=0), sub.std(axis=0)
+    sub = features[fit_rows]  # fancy indexing copies, so `sub` is ours to overwrite
+    # np.std's own steps, in place: bitwise equal to sub.std(axis=0)
+    mean = sub.mean(axis=0)
+    sub -= mean
+    sub *= sub
+    return mean, np.sqrt(sub.mean(axis=0))
 
 
 def apply_standardization(features: np.ndarray, mean: np.ndarray,
                           std: np.ndarray) -> np.ndarray:
     # near-constant columns map to exactly zero instead of exploding
     safe = np.where(std < 1e-12, 1.0, std)
-    out = (features - mean) / safe
+    out = features - mean
+    out /= safe
     out[:, std < 1e-12] = 0.0
     return out
 

@@ -7,6 +7,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lunet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, ConfigError,
                        RunConfig, build_run_config, main, make_parser, parse_config_file)
@@ -112,6 +114,36 @@ def test_bad_train_setting_exits_2(tmp_path, capsys, flag, value, message):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("argv,config,message", [
+    (["train", "--subsample", "3"], "",
+     "subsample = 3 leaves class 0 with 1 samples, fewer than the split's k=5"),
+    (["train"], "synth.samples = 4",
+     "synth.samples = 4 leaves class 0 with 2 samples, fewer than the split's k=5"),
+    (["crossval", "--subsample", "12", "--folds", "10"], "",
+     "subsample = 12 leaves class 0 with 6 samples, fewer than the split's k=10"),
+])
+def test_table_shrunk_below_the_fold_count_exits_2(tmp_path, capsys, argv, config,
+                                                   message):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(config + "\n")
+    argv = [*argv, "--dataset", "synthetic", "--levels", "4", "--epochs", "1",
+            "--output-dir", str(tmp_path), "--config", str(cfg_file)]
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert err == f"config error: {message}\n" and out == ""
+
+
+@pytest.mark.parametrize("subsample", ["0", "8"])
+def test_dataset_file_below_the_fold_count_exits_3(nsl_run, capsys, subsample):
+    d, common = nsl_run
+    argv = ["crossval", *common, "--data-path", str(d / "ftp_http.csv"), "--folds", "10",
+            "--subsample", subsample, "--output-dir", str(d / "cv")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: class 0 has ") and "fewer than k=10" in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_lr_flag_exits_2(tmp_path, capsys, value):
     with pytest.raises(SystemExit) as e:
@@ -159,3 +191,33 @@ def test_bad_config_value_names_key_and_line(tmp_path):
     cfg_file.write_text("folds = 4\ntrain.epochs = lots\n")
     with pytest.raises(ConfigError, match="line 2: bad train.epochs value"):
         parse_config_file(str(cfg_file))
+
+
+def test_non_utf8_config_file_exits_2_naming_the_line(tmp_path, capsys):
+    cfg_file = tmp_path / "latin.cfg"
+    cfg_file.write_bytes(b"seed = 1\nfolds = \xff4\n")
+    assert main(["train", "--config", str(cfg_file)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {cfg_file} line 2: not UTF-8 text (byte 0xff)\n")
+
+
+CONFIG_KEYS = [f.metadata["key"] for f in fields(RunConfig)]
+CONFIG_VALUES = ["1", "0", "-3", "2.5", "nan", "-inf", "1e400", "", "4,8", "a,,b",
+                 "synthetic", "multi", "0x10", "١٢"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.one_of(
+    st.tuples(st.sampled_from(CONFIG_KEYS + ["train.shuffle", "Seed", ""]),
+              st.sampled_from(["=", " = ", "==", ":", ""]),
+              st.sampled_from(CONFIG_VALUES)).map(lambda t: "".join(t).encode()),
+    st.sampled_from([b"", b"# comment", b"  ", b"\xff", b"seed = \xc3", b"\r"]),
+    st.binary(max_size=12)), max_size=8))
+def test_any_config_file_parses_or_raises_config_error(tmp_path_factory, lines):
+    cfg_file = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    cfg_file.write_bytes(b"\n".join(lines))
+    try:
+        parsed = parse_config_file(str(cfg_file))
+    except ConfigError:
+        return
+    assert set(parsed) <= {f.name for f in fields(RunConfig)}

@@ -1,9 +1,15 @@
+import csv
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lunet.data import (NSL_KDD, UNSW_NB15, DataError, encode_categorical,
+from lunet import data
+from lunet.data import (CATEGORICAL, DROP, LABEL, NSL_KDD, NUMERIC, UNSW_NB15,
+                        DataError, DatasetSchema, RawTable, encode_categorical,
                         fit_standardization, apply_standardization, load_csv,
                         make_labels, standardize, stratified_kfold,
                         stratified_subsample, synth_dataset)
@@ -110,6 +116,243 @@ class TestLoadCsv:
         empty.write_text(content)
         with pytest.raises(DataError, match=r"empty\.csv: no data rows"):
             load_csv(nsl_file, NSL_KDD, paths_extra=[str(empty)])
+
+
+def reference_load_csv(path, schema, paths_extra=()):
+    """`load_csv` row by row: every cell of a row is parsed before the next
+    row is read. The block parser must give the same table or error."""
+    names = [n for n, _ in schema.columns]
+    kinds = dict(schema.columns)
+    expected = len(names)
+    columns = {n: [] for n, k in schema.columns if k in (NUMERIC, CATEGORICAL)}
+    label_values = []
+    aliases = schema.label_aliases
+    starts = []
+    for p in (path, *paths_extra):
+        starts.append((p, len(label_values)))
+        row_no = 0
+        try:
+            fh = open(p, newline="", encoding="utf-8")
+        except OSError as e:
+            raise DataError(f"cannot open dataset file {p}: {e}") from e
+        with fh:
+            reader = csv.reader(data.utf8_lines(fh, p))
+            first = True
+            for cells in reader:
+                if not cells:
+                    continue
+                if first:
+                    first = False
+                    lowered = {c.strip().lower() for c in cells}
+                    feature_names = {n for n, k in schema.columns
+                                     if k in (NUMERIC, CATEGORICAL)}
+                    if len(lowered & feature_names) >= 2:
+                        continue
+                row_no += 1
+                if len(cells) != expected:
+                    raise DataError(
+                        f"{p} row {row_no}: expected {expected} columns, found {len(cells)}")
+                for name, cell in zip(names, cells):
+                    kind = kinds[name]
+                    if kind == DROP:
+                        continue
+                    if kind == LABEL:
+                        label = cell.strip()
+                        label_values.append(aliases.get(label, label))
+                    elif kind == CATEGORICAL:
+                        columns[name].append(cell.strip())
+                    else:
+                        try:
+                            columns[name].append(float(cell))
+                        except ValueError:
+                            raise DataError(
+                                f"{p} row {row_no}, column {name!r}: "
+                                f"unparseable numeric cell {cell!r}") from None
+        if row_no == 0:
+            raise DataError(f"{p}: no data rows")
+    for name, kind in schema.columns:
+        if kind == NUMERIC:
+            col = np.asarray(columns[name], dtype=np.float64)
+            finite = np.isfinite(col)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                p, start = next((p, start) for p, start in reversed(starts) if start <= i)
+                raise DataError(f"{p} row {i - start + 1}, column {name!r}: "
+                                f"non-finite numeric cell {float(col[i])!r}")
+            columns[name] = col
+    return RawTable(schema=schema, columns=columns, label_values=label_values)
+
+
+def outcome(parse, paths, schema):
+    """What `parse` makes of the files: ("table", columns as bytes or lists,
+    labels) or ("error", message)."""
+    try:
+        raw = parse(paths[0], schema, paths[1:])
+    except DataError as e:
+        return ("error", str(e))
+    cols = {n: (c.dtype.str, c.tobytes()) if isinstance(c, np.ndarray) else c
+            for n, c in raw.columns.items()}
+    return ("table", list(cols), cols, raw.label_values)
+
+
+# three features, the label and a dropped column: rows short enough that
+# faults land in every position
+TINY = DatasetSchema(
+    columns=(("a", NUMERIC), ("b", CATEGORICAL), ("c", NUMERIC), ("lab", LABEL),
+             ("d", DROP)),
+    class_names_multi=("n", "x"), class_map_multi={"n": "n", "x": "x"},
+    label_aliases={"": "n", "y": "x"})
+NUMERIC_CELLS = ["0", "-0.0", "1.5", " 2e3 ", "7", "nan", "inf", "-Infinity", "1e400",
+                 "1,5", "", "0x10", "oops"]
+TEXT_CELLS = ["tcp", " udp ", "", "x", "y", "n", "A", "b"]
+HEADER = ["a", "b", "C ", "lab", "d"]
+
+
+def _row(cells):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+@st.composite
+def csv_lines(draw):
+    """One file's lines: an optional header, blank lines, rows of the right,
+    short or long length, and any mix of good, unparseable and non-finite
+    numeric cells."""
+    lines = [_row(HEADER)] if draw(st.booleans(), label="header") else []
+    for _ in range(draw(st.integers(0, 7), label="rows")):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "short", "long"]))
+        if kind == "blank":
+            lines.append("\n")
+            continue
+        cells = [draw(st.sampled_from(NUMERIC_CELLS)), draw(st.sampled_from(TEXT_CELLS)),
+                 draw(st.sampled_from(NUMERIC_CELLS)), draw(st.sampled_from(TEXT_CELLS)),
+                 draw(st.sampled_from(TEXT_CELLS))]
+        if kind == "short":
+            cells = cells[:draw(st.integers(1, 4))]
+        elif kind == "long":
+            cells.append("9")
+        lines.append(_row(cells))
+    return lines
+
+
+def write_files(tmp, files):
+    paths = []
+    for i, (lines, bad_byte_at) in enumerate(files):
+        blob = "".join(lines).encode("utf-8")
+        if bad_byte_at is not None:
+            at = bad_byte_at % (len(blob) + 1)
+            blob = blob[:at] + b"\xff" + blob[at:]
+        path = tmp / f"part{i}.csv"
+        path.write_bytes(blob)
+        paths.append(str(path))
+    return paths
+
+
+GOOD = _row(["1", "tcp", "2", "n", "0"])
+
+
+class TestLoadCsvMatchesRowByRow:
+    @settings(max_examples=300, deadline=None)
+    @given(files=st.lists(st.tuples(csv_lines(), st.none() | st.integers(0, 400)),
+                          min_size=1, max_size=3))
+    # a short row after a bad cell, and the reverse
+    @example(files=[([_row(["1,5", "tcp", "2", "n", "0"]), _row(["1"])], None)])
+    @example(files=[([_row(["1"]), _row(["oops", "tcp", "2", "n", "0"])], None)])
+    # two bad cells: the earlier row wins, then the earlier column
+    @example(files=[([GOOD, _row(["1", "tcp", "0x10", "n", "0"]),
+                      _row(["", "tcp", "2", "n", "0"])], None)])
+    @example(files=[([_row(["oops", "tcp", "0x10", "n", "0"])], None)])
+    # a fault in a second file after a non-finite cell in the first
+    @example(files=[([_row(["nan", "tcp", "2", "n", "0"])], None),
+                    ([GOOD, _row(["1"])], None)])
+    def test_same_table_or_error_as_the_row_by_row_parser(self, tmp_path_factory, files):
+        paths = write_files(tmp_path_factory.mktemp("fuzz"), files)
+        want = outcome(reference_load_csv, paths, TINY)
+        for block in (1, 2, 3, data.CSV_BLOCK):
+            with mock.patch.object(data, "CSV_BLOCK", block):
+                assert outcome(load_csv, paths, TINY) == want, f"CSV_BLOCK={block}"
+
+    def test_fault_before_a_non_utf8_byte_beyond_the_decode_buffer(self, tmp_path):
+        # the decoder reads ahead in 8 KB chunks; the bad cell in row 2 is
+        # parsed before the chunk holding the 0xff byte of row 1500 is decoded
+        lines = [GOOD] * 2000
+        lines[1] = _row(["oops", "tcp", "2", "n", "0"])
+        paths = write_files(tmp_path, [(lines, len(GOOD) * 1499 + 2)])
+        want = outcome(reference_load_csv, paths, TINY)
+        assert want == ("error", f"{paths[0]} row 2, column 'a': "
+                                 "unparseable numeric cell 'oops'")
+        assert outcome(load_csv, paths, TINY) == want
+
+    def test_rows_are_counted_across_blocks(self, tmp_path, monkeypatch):
+        lines = ["\n", _row(HEADER)] + [GOOD, "\n"] * 5 + [_row(["1", "tcp", "x"])]
+        paths = write_files(tmp_path, [(lines, None)])
+        monkeypatch.setattr(data, "CSV_BLOCK", 2)
+        with pytest.raises(DataError, match="row 6: expected 5 columns, found 3"):
+            load_csv(paths[0], TINY)
+
+
+def reference_encode(raw):
+    """One-hot encoding as one block per feature column, then `np.hstack`."""
+    blocks = []
+    n = raw.n_rows
+    for name, kind in raw.schema.feature_columns:
+        col = raw.columns[name]
+        if kind == NUMERIC:
+            blocks.append(np.asarray(col, dtype=np.float64).reshape(n, 1))
+        else:
+            vocab = sorted(set(col))
+            index = {v: i for i, v in enumerate(vocab)}
+            block = np.zeros((n, len(vocab)))
+            block[np.arange(n), [index[v] for v in col]] = 1.0
+            blocks.append(block)
+    return np.hstack(blocks)
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def numeric_fixture():
+    """Columns of mixed scale, one constant column and scattered -0.0 cells."""
+    x = np.random.default_rng(7).normal(3.0, 50.0, size=(37, 6))
+    x[:, 2] = 4.25
+    x[::4, 0] = -0.0
+    x[1::5, 3] = 0.0
+    x[:, 5] = np.where(np.arange(37) % 2, -0.0, 0.0)
+    return x
+
+
+FIT_SETS = [np.array([5]), np.arange(37), np.arange(0, 37, 3)]
+
+
+class TestInPlaceNumerics:
+    @pytest.mark.parametrize("fit_rows", FIT_SETS, ids=["one-row", "all", "strided"])
+    def test_fit_equals_numpy_mean_and_std(self, fit_rows):
+        x = numeric_fixture()
+        before = x.copy()
+        mean, std = fit_standardization(x, fit_rows)
+        assert_bitwise(x, before)  # the fit leaves `features` as it was
+        sub = before[fit_rows]
+        assert_bitwise(mean, sub.mean(axis=0))
+        assert_bitwise(std, sub.std(axis=0))
+
+    @pytest.mark.parametrize("fit_rows", FIT_SETS, ids=["one-row", "all", "strided"])
+    def test_apply_equals_subtract_then_divide(self, fit_rows):
+        x = numeric_fixture()
+        mean, std = fit_standardization(x, fit_rows)
+        const = std < 1e-12
+        want = (x - mean) / np.where(const, 1.0, std)
+        want[:, const] = 0.0
+        assert_bitwise(apply_standardization(x, mean, std), want)
+
+    def test_encode_equals_per_column_blocks(self, nsl_file):
+        raw = load_csv(nsl_file, NSL_KDD)
+        raw.columns["dst_bytes"][[1, 3]] = -0.0
+        features, _ = encode_categorical(raw)
+        assert features.flags.c_contiguous
+        assert_bitwise(features, reference_encode(raw))
 
 
 class TestEncodeCategorical:
