@@ -156,13 +156,14 @@ def build_run_config(args) -> RunConfig:
     return replace(cfg, **overrides)
 
 
-def _require_folds(labels: np.ndarray, folds: int, setting: str):
-    """ConfigError naming `setting` if a class has fewer rows than `folds`."""
-    classes, counts = np.unique(labels, return_counts=True)
+def _require_folds(table: DatasetTable, folds: int, setting: str):
+    """ConfigError naming `setting` and the class if a class has fewer rows
+    than `folds`."""
+    classes, counts = np.unique(table.labels, return_counts=True)
     i = int(np.argmin(counts))
     if counts[i] < folds:
-        raise ConfigError(f"{setting} leaves class {classes[i]} with {counts[i]} samples, "
-                          f"fewer than the split's k={folds}")
+        raise ConfigError(f"{setting} leaves class {table.class_names[classes[i]]!r} with "
+                          f"{counts[i]} samples, fewer than the split's k={folds}")
 
 
 def load_run_dataset(cfg: RunConfig, folds: int = 0) -> DatasetTable:
@@ -175,7 +176,7 @@ def load_run_dataset(cfg: RunConfig, folds: int = 0) -> DatasetTable:
     if cfg.dataset == "synthetic":
         table = synth_dataset(2 if cfg.task == "binary" else 5, cfg.synth_samples,
                               cfg.synth_features, cfg.synth_separation, cfg.seed)
-        _require_folds(table.labels, folds, f"synth.samples = {cfg.synth_samples}")
+        _require_folds(table, folds, f"synth.samples = {cfg.synth_samples}")
     else:
         schema = SCHEMAS[cfg.dataset]
         raw = load_csv(cfg.data_paths[0], schema, cfg.data_paths[1:])
@@ -185,7 +186,7 @@ def load_run_dataset(cfg: RunConfig, folds: int = 0) -> DatasetTable:
         idx = stratified_subsample(table.labels, cfg.subsample, cfg.seed)
         table = replace(table, features=table.features[idx], labels=table.labels[idx])
         if fits:
-            _require_folds(table.labels, folds, f"subsample = {cfg.subsample}")
+            _require_folds(table, folds, f"subsample = {cfg.subsample}")
     return table
 
 
@@ -274,7 +275,7 @@ def cmd_crossval(cfg: RunConfig) -> int:
     if cfg.folds < 2:
         raise ConfigError(f"cross-validation needs folds >= 2, got {cfg.folds}")
     table = load_run_dataset(cfg, cfg.folds)
-    plan = stratified_kfold(table.labels, cfg.folds, cfg.seed)
+    plan = stratified_kfold(table.labels, cfg.folds, cfg.seed, table.class_names)
     cms = []
     for fold in range(cfg.folds):
         _, _, _, cm = _train_one_fold(cfg, table, plan.train_indices(fold),
@@ -288,7 +289,7 @@ def cmd_train(cfg: RunConfig) -> int:
     """Single-split convenience: stratified k=TRAIN_FOLDS, fold 0 held out."""
     cfg.validate()
     table = load_run_dataset(cfg, TRAIN_FOLDS)
-    plan = stratified_kfold(table.labels, TRAIN_FOLDS, cfg.seed)
+    plan = stratified_kfold(table.labels, TRAIN_FOLDS, cfg.seed, table.class_names)
     model, mean, std, cm = _train_one_fold(
         cfg, table, plan.train_indices(0), plan.val_indices(0), 0)
     os.makedirs(cfg.output_dir, exist_ok=True)

@@ -168,24 +168,31 @@ def utf8_lines(fh, p):
         raise DataError(f"{p}: not UTF-8 text ({e})") from None
 
 
-def _data_rows(reader, feature_names):
-    """The non-blank rows of one file, less a header row: a first non-blank
-    row that names at least two feature columns."""
-    first = True
-    for cells in reader:
-        if not cells:
-            continue
-        if first:
-            first = False
-            if len({c.strip().lower() for c in cells} & feature_names) >= 2:
+def _data_rows(reader, p, feature_names):
+    """The non-blank rows of file `p`, less a header row: a first non-blank
+    row that names at least two feature columns. A row the reader cannot
+    split (a cell over the csv module's field size limit) is a DataError
+    naming its data row."""
+    first, row_no = True, 0
+    try:
+        for cells in reader:
+            if not cells:
                 continue
-        yield cells
+            if first:
+                first = False
+                if len({c.strip().lower() for c in cells} & feature_names) >= 2:
+                    continue
+            row_no += 1
+            yield cells
+    except csv.Error as e:
+        raise DataError(f"{p} row {row_no + 1}: unreadable CSV row ({e})") from None
 
 
 def _blocks(rows):
     """`rows` in lists of up to CSV_BLOCK. An error raised while reading (a
-    byte that is not UTF-8) follows the block of the rows read before it, so
-    that their own faults come first, as they do row by row."""
+    byte that is not UTF-8, an unreadable row) follows the block of the rows
+    read before it, so that their own faults come first, as they do row by
+    row."""
     while True:
         block = []
         try:
@@ -225,9 +232,10 @@ def load_csv(path, schema: DatasetSchema, paths_extra=()) -> RawTable:
 
     A header row is auto-detected by name-match on the first feature column.
     Every file must be UTF-8 text holding at least one data row, and every
-    numeric cell must parse to a finite number. Errors name the file, the row
-    (data rows are counted from 1 in each file) and the column; a byte that is
-    not UTF-8 is named by its file line. Rows are parsed `CSV_BLOCK` at a time,
+    numeric cell must parse to a finite number, and no cell may exceed the
+    csv module's field size limit. Errors name the file, the row (data rows
+    are counted from 1 in each file) and the column; a byte that is not UTF-8
+    is named by its file line. Rows are parsed `CSV_BLOCK` at a time,
     column by column, and a block with a fault is searched row by row, so the
     error reported is the one in the earliest row.
     """
@@ -246,7 +254,7 @@ def load_csv(path, schema: DatasetSchema, paths_extra=()) -> RawTable:
         except OSError as e:
             raise DataError(f"cannot open dataset file {p}: {e}") from e
         with fh:
-            rows = _data_rows(csv.reader(utf8_lines(fh, p)), feature_names)
+            rows = _data_rows(csv.reader(utf8_lines(fh, p)), p, feature_names)
             for block in _blocks(rows):
                 n = len(block)
                 if set(map(len, block)) != {expected}:
@@ -365,8 +373,11 @@ def standardize(table: DatasetTable, fit_rows: np.ndarray) -> DatasetTable:
                    standardization=(mean, std))
 
 
-def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldPlan:
-    """Per class: seeded permutation, then deal round-robin into k folds."""
+def stratified_kfold(labels: np.ndarray, k: int, seed: int,
+                     class_names=None) -> FoldPlan:
+    """Per class: seeded permutation, then deal round-robin into k folds. A
+    class with fewer than k samples is a DataError naming it by its entry in
+    `class_names`, or by its label if none are given."""
     if k < 2:
         raise ValueError(f"fold count must be >= 2, got {k}")
     labels = np.asarray(labels)
@@ -375,7 +386,8 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldPlan:
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
         if len(idx) < k:
-            raise DataError(f"class {c} has {len(idx)} samples, fewer than k={k}")
+            name = c if class_names is None else repr(class_names[c])
+            raise DataError(f"class {name} has {len(idx)} samples, fewer than k={k}")
         order = idx[rng.permutation(len(idx))]
         assignments[order] = np.arange(len(idx)) % k
     return FoldPlan(assignments=assignments)

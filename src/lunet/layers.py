@@ -16,6 +16,14 @@ import numpy as np
 
 from .tensor import Rng, sigmoid
 
+# Bytes of LSTM gate pre-activations an infer-mode forward makes per block of
+# timesteps (at least one step). Measured at the paper widths (Xeon with 2 MiB
+# of L2 per core, BLAS 1 thread): from 128 KiB to 2 MiB a 256-row forward's
+# traced peak is flat at 36.7 MiB, set by the level-0 conv activations, and
+# rows/s is flat within noise; at 4 MiB a 64-row forward's peak grows. 1 MiB
+# keeps a block in L2 from its input product to its step.
+INFER_BLOCK_BYTES = 1 << 20
+
 
 class Layer:
     """Base: named parameter map plus a same-shaped gradient accumulator map."""
@@ -30,7 +38,8 @@ class Layer:
         if pname in self.params:
             raise ValueError(f"duplicate parameter name {pname!r} in {self.name}")
         self.params[pname] = value
-        self.grads[pname] = np.zeros_like(value)
+        # calloc'd: a model that never trains never touches these pages
+        self.grads[pname] = np.zeros(value.shape)
 
     def zero_grads(self):
         for g in self.grads.values():
@@ -219,9 +228,11 @@ class LSTM(Layer):
     h(t) = tanh(s(t)) * sigmoid(q). State starts at zeros for every sequence.
     The four sub-nets are stored gate-stacked: U [in, 4c], W [c, 4c] and
     b [4c] hold the gates as column blocks in the order p|g|f|q, so a step
-    makes one h @ W product and the input products are made for all
-    timesteps before the loop. Gate activations and states are kept
-    time-major ([length, batch, .]) between forward and backward.
+    makes one h @ W product and the input products are made for a block of
+    timesteps at once. Gate activations and states are kept time-major
+    ([length, batch, .]) between forward and backward. An infer-mode forward
+    holds one block of gate pre-activations (about INFER_BLOCK_BYTES) and one
+    cell-state row besides its output.
     """
 
     def __init__(self, in_dim: int, cells: int, rng: Rng, name: str = "lstm"):
@@ -241,18 +252,32 @@ class LSTM(Layer):
         if length < 1:
             raise ValueError(f"{self.name}: empty sequence")
         c, p = self.cells, self.params
-        # Time-major, so each step reads and writes contiguous rows.
-        # gates[t] starts as b + x(t) @ U and is overwritten at step t with
-        # the gate activations sigmoid(p) | tanh(g) | sigmoid(f) | sigmoid(q).
-        xt = x.transpose(1, 0, 2).reshape(-1, self.in_dim)  # a copy
-        gates = (xt @ p["U"]).reshape(length, b, 4 * c)
-        gates += p["b"]
+        train = mode == "train"
+        # Time-major, so each step reads and writes contiguous rows. The input
+        # products b + x(t) @ U are made a block of timesteps at a time, into
+        # gates; gates[k] is overwritten at its step with the gate activations
+        # sigmoid(p) | tanh(g) | sigmoid(f) | sigmoid(q). Backward reads every
+        # step's activations, so train makes one block of the whole sequence;
+        # infer reuses a block of about INFER_BLOCK_BYTES. A one-row product
+        # would go to GEMV and round differently, so one sequence alone also
+        # keeps a single block.
+        if train or b == 1:
+            block = length
+        else:
+            block = min(length, max(1, INFER_BLOCK_BYTES // (b * 4 * c * 8)))
+        gates = np.empty((block, b, 4 * c))
         hs = np.zeros((length + 1, b, c))  # hs[t] is h(t-1); hs[0] is the zero state
         # train keeps every s(t) for backward; infer updates one row in place
-        ss = np.zeros((length + 1 if mode == "train" else 1, b, c))
+        ss = np.zeros((length + 1 if train else 1, b, c))
         ig = np.empty((b, c))
         for t in range(length):
-            z = gates[t]
+            k = t % block
+            if k == 0:
+                steps = gates[:min(block, length - t)]
+                xt = x[:, t:t + len(steps)].transpose(1, 0, 2).reshape(-1, self.in_dim)  # a copy
+                np.matmul(xt, p["U"], out=steps.reshape(-1, 4 * c))
+                steps += p["b"]
+            z = gates[k]
             z += hs[t] @ p["W"]
             i_g, g_g, f_q = z[:, :c], z[:, c:2 * c], z[:, 2 * c:]
             sigmoid(i_g, out=i_g)
@@ -265,7 +290,7 @@ class LSTM(Layer):
             s += ig
             np.tanh(s, out=h)
             h *= q_g
-        self._cache = (x, gates, hs, ss) if mode == "train" else None
+        self._cache = (x, gates, hs, ss) if train else None
         return np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
 
     def backward(self, upstream):

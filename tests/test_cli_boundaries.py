@@ -1,7 +1,7 @@
 """Command line boundaries: the settings table, bad train, float and synthetic
-settings, mismatched evaluation columns, non-finite or non-UTF-8 CSV cells,
-corrupt checkpoints and non-finite parameters each end in their documented
-exit code."""
+settings, mismatched evaluation columns, non-finite, non-UTF-8 or oversized
+CSV cells, corrupt checkpoints and non-finite parameters each end in their
+documented exit code."""
 
 from dataclasses import fields
 
@@ -116,11 +116,11 @@ def test_bad_train_setting_exits_2(tmp_path, capsys, flag, value, message):
 
 @pytest.mark.parametrize("argv,config,message", [
     (["train", "--subsample", "3"], "",
-     "subsample = 3 leaves class 0 with 1 samples, fewer than the split's k=5"),
+     "subsample = 3 leaves class 'class0' with 1 samples, fewer than the split's k=5"),
     (["train"], "synth.samples = 4",
-     "synth.samples = 4 leaves class 0 with 2 samples, fewer than the split's k=5"),
+     "synth.samples = 4 leaves class 'class0' with 2 samples, fewer than the split's k=5"),
     (["crossval", "--subsample", "12", "--folds", "10"], "",
-     "subsample = 12 leaves class 0 with 6 samples, fewer than the split's k=10"),
+     "subsample = 12 leaves class 'class0' with 6 samples, fewer than the split's k=10"),
 ])
 def test_table_shrunk_below_the_fold_count_exits_2(tmp_path, capsys, argv, config,
                                                    message):
@@ -141,7 +141,18 @@ def test_dataset_file_below_the_fold_count_exits_3(nsl_run, capsys, subsample):
     capsys.readouterr()
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("data error: class 0 has ") and "fewer than k=10" in err
+    assert err.startswith("data error: class 'normal' has ") and "fewer than k=10" in err
+
+
+def test_csv_cell_over_the_field_limit_exits_3(nsl_run, capsys):
+    d, common = nsl_run
+    path = d / "huge_service.csv"
+    write_nsl(path, ["ftp", "http", "s" * 200_000])
+    argv = ["train", *common, "--data-path", str(path), "--output-dir", str(d / "huge")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == (f"data error: {path} row 3: unreadable CSV row "
+                                       "(field larger than field limit (131072))\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -138,7 +138,13 @@ def reference_load_csv(path, schema, paths_extra=()):
         with fh:
             reader = csv.reader(data.utf8_lines(fh, p))
             first = True
-            for cells in reader:
+            while True:
+                try:
+                    cells = next(reader)
+                except StopIteration:
+                    break
+                except csv.Error as e:
+                    raise DataError(f"{p} row {row_no + 1}: unreadable CSV row ({e})") from None
                 if not cells:
                     continue
                 if first:
@@ -250,6 +256,8 @@ def write_files(tmp, files):
 
 
 GOOD = _row(["1", "tcp", "2", "n", "0"])
+# a cell over the csv module's 131,072-character field limit
+HUGE = _row(["1", "x" * 200_000, "2", "n", "0"])
 
 
 class TestLoadCsvMatchesRowByRow:
@@ -266,6 +274,9 @@ class TestLoadCsvMatchesRowByRow:
     # a fault in a second file after a non-finite cell in the first
     @example(files=[([_row(["nan", "tcp", "2", "n", "0"])], None),
                     ([GOOD, _row(["1"])], None)])
+    # a row over the field limit, after a good row and after a bad cell
+    @example(files=[([GOOD, HUGE, GOOD], None)])
+    @example(files=[([GOOD, _row(["oops", "tcp", "2", "n", "0"]), HUGE], None)])
     def test_same_table_or_error_as_the_row_by_row_parser(self, tmp_path_factory, files):
         paths = write_files(tmp_path_factory.mktemp("fuzz"), files)
         want = outcome(reference_load_csv, paths, TINY)
@@ -283,6 +294,13 @@ class TestLoadCsvMatchesRowByRow:
         assert want == ("error", f"{paths[0]} row 2, column 'a': "
                                  "unparseable numeric cell 'oops'")
         assert outcome(load_csv, paths, TINY) == want
+
+    def test_cell_over_the_field_limit_names_file_and_row(self, tmp_path):
+        paths = write_files(tmp_path, [(["\n", _row(HEADER), GOOD, GOOD, HUGE], None)])
+        with pytest.raises(DataError) as e:
+            load_csv(paths[0], TINY)
+        assert str(e.value) == (f"{paths[0]} row 3: unreadable CSV row "
+                                "(field larger than field limit (131072))")
 
     def test_rows_are_counted_across_blocks(self, tmp_path, monkeypatch):
         lines = ["\n", _row(HEADER)] + [GOOD, "\n"] * 5 + [_row(["1", "tcp", "x"])]
@@ -466,6 +484,12 @@ class TestStratifiedKfold:
         labels = np.array([0, 0, 0, 0, 1, 1, 1])
         with pytest.raises(DataError, match="class 1"):
             stratified_kfold(labels, 4, seed=0)
+
+    def test_small_class_error_uses_the_class_name(self):
+        labels = np.array([0, 0, 0, 0, 1, 1, 1])
+        with pytest.raises(DataError) as e:
+            stratified_kfold(labels, 4, 0, ["normal", "attack"])
+        assert str(e.value) == "class 'attack' has 3 samples, fewer than k=4"
 
     def test_partition(self):
         labels = np.random.default_rng(3).integers(0, 4, size=97)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,9 +325,12 @@ class TestLstm:
             x = Rng(100 + trial).normal((2, 3, 3))
             assert np.max(np.abs(lstm.forward(x) - lstm_oracle(lstm.params, x))) < 1e-12
 
-    # (cells = input width, steps) of the three LSTMs of the paper model on 122 inputs
+    # (cells = input width, steps) of the three LSTMs of the paper model on 122
+    # inputs. Infer mode makes its input products in time blocks of 1 MiB:
+    # at batch 256 one or two steps each, at batch 100 five, two (the last
+    # of 29 steps alone) and one.
     @pytest.mark.parametrize("cells,length", [(64, 60), (128, 29), (256, 13)])
-    @pytest.mark.parametrize("batch", [2, 32, 64])
+    @pytest.mark.parametrize("batch", [2, 32, 64, 100, 256])
     def test_time_major_matches_batch_major_reference_bitwise(self, cells, length, batch):
         lstm = LSTM(cells, cells, Rng(cells))
         lstm.params["b"][...] = Rng(cells + 1).normal((4 * cells,))
@@ -338,6 +343,22 @@ class TestLstm:
         np.testing.assert_array_equal(lstm.grads["U"], d_u)
         np.testing.assert_array_equal(lstm.grads["W"], d_w)
         np.testing.assert_array_equal(lstm.grads["b"], d_b)
+
+    def test_infer_holds_a_time_block_of_gates_not_the_sequence(self):
+        # one [60, 256, 256] float64 buffer of every step's gates: 31,457,280 bytes
+        all_gates = 60 * 256 * 4 * 64 * 8
+        lstm = LSTM(64, 64, Rng(0))
+        x = Rng(1).normal((256, 60, 64))
+        peaks = {}
+        for mode in ("infer", "train"):
+            tracemalloc.start()
+            try:
+                lstm.forward(x, mode=mode)
+                peaks[mode] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["infer"] < all_gates <= peaks["train"]
+        assert lstm._cache[1].nbytes == all_gates
 
 
 class TestDropout:

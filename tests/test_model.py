@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lunet import LuNetSpec, build
+from lunet import LuNetSpec, build, layers
 from lunet.tensor import Rng
 
 
@@ -114,6 +114,30 @@ class TestForward:
         x = Rng(12).normal((256, 122))
         chunks = np.vstack([model.forward(x[i:i + 64]) for i in range(0, 256, 64)])
         np.testing.assert_array_equal(model.forward(x), chunks)
+
+    @pytest.mark.parametrize("block_bytes", [1, layers.INFER_BLOCK_BYTES])
+    @pytest.mark.parametrize("chunk", [1, 37, 64, 256])
+    def test_paper_width_probs_do_not_depend_on_time_blocks(self, monkeypatch, block_bytes,
+                                                            chunk):
+        # an infer-mode LSTM splits its input product into time blocks sized
+        # by the batch; at every chunk size the probabilities are the bits of
+        # one whole-sequence block. (Chunks of 1 or 37 rows do not give the
+        # bits of one forward over all rows: one-row products go to GEMV and
+        # the dense head's 37-row product takes another BLAS kernel.)
+        model = build(LuNetSpec(input_features=122, num_classes=2, init_seed=1))
+        for _, _, pname, value in model.named_params():
+            if pname in ("b", "bias"):
+                value[...] = Rng(value.size).normal(value.shape)
+        model.set_mode("infer")
+        x = Rng(12).normal((256, 122))
+
+        def chunked():
+            return np.vstack([model.forward(x[i:i + chunk]) for i in range(0, 256, chunk)])
+
+        monkeypatch.setattr(layers, "INFER_BLOCK_BYTES", block_bytes)
+        blocks = chunked()
+        monkeypatch.setattr(layers, "INFER_BLOCK_BYTES", 1 << 62)
+        np.testing.assert_array_equal(blocks, chunked())
 
     def test_wrong_feature_count(self, model):
         with pytest.raises(ValueError):
