@@ -13,15 +13,14 @@ the four gate tensors in p|g|f|q order.
 
 from __future__ import annotations
 
-import math
 import struct
 
 import numpy as np
 
 from . import model as model_mod
+from .binio import Reader, write_block, write_tensor
 from .layers import LSTM
 from .model import LuNetModel, LuNetSpec
-from .tensor import check_shape
 
 MAGIC = b"LUNET1\0"
 VERSION = 2
@@ -29,22 +28,6 @@ VERSION = 2
 
 class CheckpointError(Exception):
     pass
-
-
-def _write_block(fh, mapping: dict):
-    text = "".join(f"{k}={v}\n" for k, v in mapping.items()).encode("utf-8")
-    fh.write(struct.pack("<I", len(text)))
-    fh.write(text)
-
-
-def _write_tensor(fh, name: str, value: np.ndarray):
-    b = name.encode("utf-8")
-    fh.write(struct.pack("<H", len(b)))
-    fh.write(b)
-    fh.write(struct.pack("<B", value.ndim))
-    for d in value.shape:
-        fh.write(struct.pack("<I", d))
-    fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
 
 
 def save_checkpoint(path, model: LuNetModel, mean: np.ndarray, std: np.ndarray,
@@ -55,64 +38,15 @@ def save_checkpoint(path, model: LuNetModel, mean: np.ndarray, std: np.ndarray,
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
-        _write_block(fh, model.spec.to_mapping())
-        _write_block(fh, {
+        write_block(fh, model.spec.to_mapping())
+        write_block(fh, {
             "task": task,
             "class_names": "|".join(class_names),
             "encoded_columns": "|".join(encoded_columns),
         })
         fh.write(struct.pack("<I", len(tensors)))
         for name, value in tensors:
-            _write_tensor(fh, name, value)
-
-
-class _Reader:
-    """Bounds-checked cursor over a checkpoint's bytes: every read either
-    succeeds or raises CheckpointError naming the file and the byte offset."""
-
-    def __init__(self, path, blob: bytes):
-        self.path, self.blob, self.pos = path, blob, 0
-
-    def error(self, msg: str, at: int | None = None) -> CheckpointError:
-        return CheckpointError(f"{self.path} byte {self.pos if at is None else at}: {msg}")
-
-    def take(self, n: int) -> bytes:
-        left = len(self.blob) - self.pos
-        if n > left:
-            raise self.error(f"truncated checkpoint: need {n} bytes, {left} left")
-        self.pos += n
-        return self.blob[self.pos - n:self.pos]
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def text(self, n: int) -> str:
-        at = self.pos
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise self.error(f"bad utf-8 text: {e.reason}", at) from None
-
-    def block(self) -> dict:
-        (n,) = self.unpack("<I")
-        out = {}
-        for line in self.text(n).splitlines():
-            k, _, v = line.partition("=")
-            out[k] = v
-        return out
-
-    def tensor(self) -> tuple[str, np.ndarray]:
-        (n,) = self.unpack("<H")
-        name = self.text(n)
-        at = self.pos
-        (rank,) = self.unpack("<B")
-        dims = self.unpack(f"<{rank}I")
-        try:
-            check_shape(dims)
-        except ValueError as e:
-            raise self.error(f"tensor {name!r}: {e}", at) from None
-        data = np.frombuffer(self.take(8 * math.prod(dims)), dtype="<f8")
-        return name, data.reshape(dims).copy()
+            write_tensor(fh, name, value)
 
 
 def load_checkpoint(path):
@@ -123,7 +57,7 @@ def load_checkpoint(path):
     """
     try:
         with open(path, "rb") as fh:
-            r = _Reader(path, fh.read())
+            r = Reader(path, fh.read(), CheckpointError, "checkpoint")
     except OSError as e:
         raise CheckpointError(f"{path}: cannot read checkpoint: {e}") from None
     if not r.blob.startswith(MAGIC):

@@ -4,12 +4,17 @@ synthetic blob fixture for offline testing."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+import os
+import struct
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
+from .binio import Reader, write_block, write_strings, write_tensor
 from .tensor import Rng
 
 
@@ -156,9 +161,9 @@ def utf8_lines(fh, p):
         yield from fh
     except UnicodeDecodeError as e:
         # the decoder counts offsets within its buffered chunk, so place the
-        # bad byte by decoding the raw file
-        with open(p, "rb") as raw:
-            data = raw.read()
+        # bad byte by decoding the bytes under `fh` whole
+        fh.buffer.seek(0)
+        data = fh.buffer.read()
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as whole:
@@ -227,6 +232,148 @@ def _first_fault(p, rows, rows_before, schema) -> DataError:
     raise AssertionError("no faulty row in the block")
 
 
+def _parse_file(p, blob: bytes, schema: DatasetSchema) -> RawTable:
+    """The rows of file `p`, whose bytes are `blob`, parsed `CSV_BLOCK` at a
+    time, column by column; numeric cells are not yet checked for finiteness."""
+    expected = len(schema.columns)
+    feature_names = {n for n, _ in schema.feature_columns}
+    # numeric columns collect one array per block, categorical ones strings
+    columns = {n: [] for n, _ in schema.feature_columns}
+    label_values = []
+    aliases = schema.label_aliases
+    row_no = 0
+    with io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8", newline="") as fh:
+        rows = _data_rows(csv.reader(utf8_lines(fh, p)), p, feature_names)
+        for block in _blocks(rows):
+            n = len(block)
+            if set(map(len, block)) != {expected}:
+                raise _first_fault(p, block, row_no, schema)
+            try:
+                for (name, kind), cells in zip(schema.columns, zip(*block)):
+                    if kind == NUMERIC:
+                        columns[name].append(np.fromiter(map(float, cells), np.float64, n))
+                    elif kind == CATEGORICAL:
+                        columns[name].extend(map(str.strip, cells))
+                    elif kind == LABEL:
+                        labels = list(map(str.strip, cells))
+                        label_values.extend(map(aliases.get, labels, labels))
+            except ValueError:
+                raise _first_fault(p, block, row_no, schema) from None
+            row_no += n
+    if row_no == 0:
+        raise DataError(f"{p}: no data rows")
+    for name, kind in schema.feature_columns:
+        if kind == NUMERIC:
+            columns[name] = np.concatenate(columns[name])
+    return RawTable(schema=schema, columns=columns, label_values=label_values)
+
+
+# The table cache: each parsed file's table in the sidecar file
+# `<file>.lunetcache`, under a key of the file's bytes and the schema. Its
+# layout: CACHE_MAGIC | key block | u32 rows | per feature column in schema
+# order, then for the labels: a numeric column as a tensor, a categorical
+# column (or the labels) as its vocabulary strings and a tensor of codes.
+CACHE_SUFFIX = ".lunetcache"
+CACHE_MAGIC = b"LUNETTAB\0"
+CACHE_VERSION = 1
+_LABELS = ("labels", LABEL)
+
+
+class _StaleCache(Exception):
+    """A sidecar that does not hold this file's table under this schema."""
+
+
+def _cache_key(blob: bytes, schema: DatasetSchema) -> dict:
+    # imported here: hashlib's OpenSSL would cost every `import lunet` 4.5 ms
+    # and 3.6 MiB, and only the cache needs it
+    import hashlib
+
+    fingerprint = repr((schema.columns, sorted(schema.label_aliases.items()),
+                        sorted(schema.class_map_multi.items()), schema.class_names_multi))
+    return {"version": str(CACHE_VERSION), "sha256": hashlib.sha256(blob).hexdigest(),
+            "bytes": str(len(blob)),
+            "schema": hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()}
+
+
+def _read_cache(side: str, key: dict, schema: DatasetSchema) -> RawTable | None:
+    """The table stored in sidecar `side` under `key`, or None when there is
+    no such sidecar or it is truncated, foreign, stale or of another version."""
+    try:
+        with open(side, "rb") as fh:
+            r = Reader(side, fh.read(), _StaleCache, "table cache")
+        if r.take(len(CACHE_MAGIC)) != CACHE_MAGIC or r.block() != key:
+            return None
+        (n,) = r.unpack("<I")
+        columns = {}
+        for name, kind in (*schema.feature_columns, _LABELS):
+            vocab = r.strings() if kind != NUMERIC else None
+            stored, values = r.tensor()
+            if stored != name or values.shape != (n,):
+                return None
+            if vocab is not None:
+                if not (values.min() >= 0 and values.max() < len(vocab)):
+                    return None  # NaN codes fail here too
+                values = np.array(vocab, dtype=object)[values.astype(np.intp)].tolist()
+            columns[name] = values
+        if r.pos != len(r.blob):
+            return None
+    except (OSError, _StaleCache):
+        return None
+    label_values = columns.pop(_LABELS[0])
+    return RawTable(schema=schema, columns=columns, label_values=label_values)
+
+
+def _write_coded(fh, name: str, values: list):
+    index = {}
+    codes = np.fromiter((index.setdefault(v, len(index)) for v in values),
+                        np.float64, len(values))
+    write_strings(fh, list(index))
+    write_tensor(fh, name, codes)
+
+
+def _write_cache(side: str, key: dict, raw: RawTable):
+    """Store `raw` in sidecar `side` under `key`: written whole to a temporary
+    file, then renamed over the sidecar. A path that cannot be written leaves
+    no cache and raises nothing."""
+    tmp = f"{side}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CACHE_MAGIC)
+            write_block(fh, key)
+            fh.write(struct.pack("<I", raw.n_rows))
+            for name, kind in raw.schema.feature_columns:
+                if kind == NUMERIC:
+                    write_tensor(fh, name, raw.columns[name])
+                else:
+                    _write_coded(fh, name, raw.columns[name])
+            _write_coded(fh, _LABELS[0], raw.label_values)
+        os.replace(tmp, side)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
+def _load_file(p, schema: DatasetSchema) -> RawTable:
+    """File `p` parsed against the schema, from its sidecar when that holds
+    the parse of these very bytes. Only the bytes read here are hashed and
+    parsed, so a file edited meanwhile cannot pair one content's key with
+    another's table; a parse with a non-finite cell is not cached."""
+    try:
+        with open(p, "rb") as fh:
+            blob = fh.read()
+    except OSError as e:
+        raise DataError(f"cannot open dataset file {p}: {e}") from e
+    key = _cache_key(blob, schema)
+    side = f"{p}{CACHE_SUFFIX}"
+    raw = _read_cache(side, key, schema)
+    if raw is None:
+        raw = _parse_file(p, blob, schema)
+        if all(np.isfinite(raw.columns[n]).all()
+               for n, k in schema.feature_columns if k == NUMERIC):
+            _write_cache(side, key, raw)
+    return raw
+
+
 def load_csv(path, schema: DatasetSchema, paths_extra=()) -> RawTable:
     """Parse one or more delimited files against the schema's column order.
 
@@ -237,52 +384,29 @@ def load_csv(path, schema: DatasetSchema, paths_extra=()) -> RawTable:
     are counted from 1 in each file) and the column; a byte that is not UTF-8
     is named by its file line. Rows are parsed `CSV_BLOCK` at a time,
     column by column, and a block with a fault is searched row by row, so the
-    error reported is the one in the earliest row.
+    error reported is the one in the earliest row. Each file's parse is
+    cached in its sidecar `<file>.lunetcache`, so a file read before is not
+    parsed again (see `_load_file`).
     """
-    expected = len(schema.columns)
-    feature_names = {n for n, _ in schema.feature_columns}
-    # numeric columns collect one array per block, categorical ones strings
-    columns = {n: [] for n, _ in schema.feature_columns}
-    label_values = []
-    aliases = schema.label_aliases
-    starts = []  # (file, index of its first row in the merged table)
-    for p in (path, *paths_extra):
-        starts.append((p, len(label_values)))
-        row_no = 0
-        try:
-            fh = open(p, newline="", encoding="utf-8")
-        except OSError as e:
-            raise DataError(f"cannot open dataset file {p}: {e}") from e
-        with fh:
-            rows = _data_rows(csv.reader(utf8_lines(fh, p)), p, feature_names)
-            for block in _blocks(rows):
-                n = len(block)
-                if set(map(len, block)) != {expected}:
-                    raise _first_fault(p, block, row_no, schema)
-                try:
-                    for (name, kind), cells in zip(schema.columns, zip(*block)):
-                        if kind == NUMERIC:
-                            columns[name].append(np.fromiter(map(float, cells), np.float64, n))
-                        elif kind == CATEGORICAL:
-                            columns[name].extend(map(str.strip, cells))
-                        elif kind == LABEL:
-                            labels = list(map(str.strip, cells))
-                            label_values.extend(map(aliases.get, labels, labels))
-                except ValueError:
-                    raise _first_fault(p, block, row_no, schema) from None
-                row_no += n
-        if row_no == 0:
-            raise DataError(f"{p}: no data rows")
+    paths = (path, *paths_extra)
+    parts = [_load_file(p, schema) for p in paths]
+    # (file, index of its first row in the merged table)
+    starts = list(zip(paths, accumulate((t.n_rows for t in parts), initial=0)))
+    columns = {}
     for name, kind in schema.feature_columns:
-        if kind == NUMERIC:
-            col = np.concatenate(columns[name])
-            finite = np.isfinite(col)
-            if not finite.all():
-                i = int(np.argmin(finite))  # the first non-finite row
-                p, start = next((p, start) for p, start in reversed(starts) if start <= i)
-                raise DataError(f"{p} row {i - start + 1}, column {name!r}: "
-                                f"non-finite numeric cell {float(col[i])!r}")
-            columns[name] = col
+        cols = [t.columns[name] for t in parts]
+        if kind != NUMERIC:
+            columns[name] = list(chain.from_iterable(cols))
+            continue
+        col = np.concatenate(cols)
+        finite = np.isfinite(col)
+        if not finite.all():
+            i = int(np.argmin(finite))  # the first non-finite row
+            p, start = next((p, start) for p, start in reversed(starts) if start <= i)
+            raise DataError(f"{p} row {i - start + 1}, column {name!r}: "
+                            f"non-finite numeric cell {float(col[i])!r}")
+        columns[name] = col
+    label_values = list(chain.from_iterable(t.label_values for t in parts))
     return RawTable(schema=schema, columns=columns, label_values=label_values)
 
 
@@ -344,16 +468,43 @@ def prepare_dataset(raw: RawTable, task: str) -> DatasetTable:
                         encoded_columns=encoded_columns, class_names=class_names)
 
 
+# Rows fit_standardization gathers at a time: 512 x 122 float64 is 500 KB
+FIT_BLOCK = 512
+
+
 def fit_standardization(features: np.ndarray, fit_rows: np.ndarray):
-    """Per-column population mean/std computed on `fit_rows` only."""
-    if len(fit_rows) == 0:
+    """Per-column population mean/std computed on `fit_rows` only, bitwise
+    equal to `features[fit_rows].mean(axis=0)` and `.std(axis=0)`.
+
+    The rows are gathered `FIT_BLOCK` at a time into a buffer behind the
+    running sum in its row 0, and an axis-0 reduce adds rows one after
+    another into the first, so each block adds on in the order one reduce
+    over all the rows would. No copy of the fit rows is made."""
+    rows = np.asarray(fit_rows)
+    n = len(rows)
+    if n == 0:
         raise ValueError("fit_rows must be non-empty")
-    sub = features[fit_rows]  # fancy indexing copies, so `sub` is ours to overwrite
-    # np.std's own steps, in place: bitwise equal to sub.std(axis=0)
-    mean = sub.mean(axis=0)
-    sub -= mean
-    sub *= sub
-    return mean, np.sqrt(sub.mean(axis=0))
+    # checked once here, so that each block's take need not check (and
+    # buffer) its output: mode="clip" never clips an index in range
+    if rows.min() < 0 or rows.max() >= len(features):
+        raise IndexError(f"fit_rows must index the {len(features)} rows of features")
+    buf = np.empty((min(n, FIT_BLOCK) + 1, features.shape[1]))
+
+    def column_means(mean=None):
+        # np.mean and np.std's own steps: the mean of the rows, or of their
+        # squared deviations from `mean`
+        for i in range(0, n, FIT_BLOCK):
+            idx = rows[i:i + FIT_BLOCK]
+            block = np.take(features, idx, axis=0, out=buf[1:len(idx) + 1], mode="clip")
+            if mean is not None:
+                block -= mean
+                block *= block
+            # the first block has no running sum to add onto
+            buf[0] = np.add.reduce(buf[1 if i == 0 else 0:len(idx) + 1], axis=0)
+        return buf[0] / n
+
+    mean = column_means()
+    return mean, np.sqrt(column_means(mean))
 
 
 def apply_standardization(features: np.ndarray, mean: np.ndarray,

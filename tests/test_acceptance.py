@@ -18,10 +18,11 @@ from lunet.data import (fit_standardization, apply_standardization,
                         standardize, stratified_kfold, synth_dataset)
 from lunet.layers import (LSTM, BatchNorm, Conv1D, Dense, GlobalAvgPool,
                           MaxPool1D)
-from lunet.metrics import binary_metrics, confusion, parse_report
+from lunet.metrics import binary_metrics, confusion
 from lunet.tensor import Rng
 from lunet.train import (RmsProp, TrainConfig, standard_gradient_suite,
                          train_epoch)
+from report_parser import parse_report
 
 
 def report_line(n, name, ok):

@@ -11,7 +11,7 @@ from lunet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_GRADCHECK, EXIT_OK,
                        RunConfig, build_run_config, cmd_gradcheck, main,
                        make_parser, parse_config_file)
 from lunet.layers import Conv1D
-from lunet.metrics import parse_report
+from report_parser import parse_report
 
 FAST = ["--dataset", "synthetic", "--task", "binary", "--levels", "8",
         "--epochs", "25", "--lr", "0.005", "--batch-size", "32", "--seed", "7"]
@@ -91,6 +91,35 @@ class TestCrossval:
                     "--data-path", str(tmp_path / "missing.csv"),
                     "--output-dir", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+
+def write_nsl_kdd(path, rows):
+    """`rows` NSL-KDD lines, normal and neptune alternating; neptune rows
+    have a large src_bytes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(rows):
+            attack = i % 2
+            cells = ([str(i % 3), ("tcp", "udp")[i % 2], ("http", "ftp", "smtp")[i % 3], "SF",
+                      str(5000 * attack + i)] + [f"0.{i % 10}"] * 36
+                     + [("normal", "neptune")[attack], "20"])
+            fh.write(",".join(cells) + "\n")
+
+
+def test_crossval_output_is_the_same_with_a_cold_and_a_warm_table_cache(tmp_path, capsys):
+    csv_path = tmp_path / "kdd.csv"
+    write_nsl_kdd(csv_path, 48)
+    runs = []
+    for name in ("cold", "warm"):
+        out = tmp_path / name
+        argv = ["crossval", "--dataset", "nsl-kdd", "--data-path", str(csv_path),
+                "--task", "binary", "--levels", "4", "--epochs", "2", "--batch-size", "8",
+                "--folds", "2", "--seed", "5", "--output-dir", str(out)]
+        assert run(argv) == EXIT_OK
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((capsys.readouterr().out, files))
+        assert (tmp_path / "kdd.csv.lunetcache").is_file()
+    assert set(runs[0][1]) >= {"report.jsonl", "confusion_fold0.csv", "confusion_fold1.csv"}
+    assert runs[0] == runs[1]
 
 
 class TestTrainEvaluate:

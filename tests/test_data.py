@@ -1,5 +1,8 @@
 import csv
 import io
+import os
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -255,6 +258,15 @@ def write_files(tmp, files):
     return paths
 
 
+def sidecar(path):
+    return Path(f"{path}{data.CACHE_SUFFIX}")
+
+
+def drop_sidecars(paths):
+    for p in paths:
+        sidecar(p).unlink(missing_ok=True)
+
+
 GOOD = _row(["1", "tcp", "2", "n", "0"])
 # a cell over the csv module's 131,072-character field limit
 HUGE = _row(["1", "x" * 200_000, "2", "n", "0"])
@@ -281,8 +293,12 @@ class TestLoadCsvMatchesRowByRow:
         paths = write_files(tmp_path_factory.mktemp("fuzz"), files)
         want = outcome(reference_load_csv, paths, TINY)
         for block in (1, 2, 3, data.CSV_BLOCK):
+            drop_sidecars(paths)
             with mock.patch.object(data, "CSV_BLOCK", block):
-                assert outcome(load_csv, paths, TINY) == want, f"CSV_BLOCK={block}"
+                # a cache miss that parses, then a hit from what it stored
+                for call in ("miss", "hit"):
+                    assert outcome(load_csv, paths, TINY) == want, \
+                        f"CSV_BLOCK={block}, {call}"
 
     def test_fault_before_a_non_utf8_byte_beyond_the_decode_buffer(self, tmp_path):
         # the decoder reads ahead in 8 KB chunks; the bad cell in row 2 is
@@ -308,6 +324,108 @@ class TestLoadCsvMatchesRowByRow:
         monkeypatch.setattr(data, "CSV_BLOCK", 2)
         with pytest.raises(DataError, match="row 6: expected 5 columns, found 3"):
             load_csv(paths[0], TINY)
+
+
+@pytest.fixture()
+def parsed(monkeypatch):
+    """The files `load_csv` parses, in order, rather than read from a sidecar."""
+    seen = []
+    parse = data._parse_file
+    monkeypatch.setattr(data, "_parse_file",
+                        lambda p, *args: seen.append(p) or parse(p, *args))
+    return seen
+
+
+# each turns a good sidecar into one that must be parsed again and rewritten
+DAMAGED = {
+    "truncated": lambda good: good[:len(good) // 2],
+    "empty": lambda good: b"",
+    "garbage": lambda good: bytes(range(256)) * 8,
+    "wrong-version": lambda good: good.replace(b"version=1\n", b"version=7\n", 1),
+    "trailing-byte": lambda good: good + b"\0",
+}
+
+
+class TestTableCache:
+    def test_hit_equals_a_fresh_parse(self, tmp_path, nsl_file, parsed):
+        second = tmp_path / "kdd2.csv"
+        write_nsl_csv(second, [("smurf", "3", {2: "ftp", 5: "0.25"}),
+                               ("normal", "1", {1: "udp"})])
+        paths = [nsl_file, str(second)]
+        fresh = outcome(load_csv, paths, NSL_KDD)
+        assert all(sidecar(p).is_file() for p in paths)
+        assert outcome(load_csv, paths, NSL_KDD) == fresh
+        assert fresh == outcome(reference_load_csv, paths, NSL_KDD)
+        assert parsed == paths
+        assert load_csv(nsl_file, NSL_KDD, paths[1:]).n_rows == 7
+
+    def test_second_load_never_parses(self, nsl_file, monkeypatch):
+        want = outcome(load_csv, [nsl_file], NSL_KDD)
+
+        def refuse(*args):
+            raise AssertionError("a cached file was parsed")
+
+        monkeypatch.setattr(data, "_parse_file", refuse)
+        assert outcome(load_csv, [nsl_file], NSL_KDD) == want
+
+    def test_same_size_edit_is_parsed_again(self, nsl_file, parsed):
+        load_csv(nsl_file, NSL_KDD)
+        path = Path(nsl_file)
+        before = path.stat()
+        text = path.read_text()
+        path.write_text(text.replace("\n3,", "\n4,", 1))
+        # same size and same mtime: only the content tells the edit
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert path.stat().st_size == before.st_size
+        raw = load_csv(nsl_file, NSL_KDD)
+        assert raw.columns["duration"].tolist() == [0, 0, 0, 4, 0]
+        assert parsed == [nsl_file, nsl_file]
+
+    @pytest.mark.parametrize("damage", DAMAGED.values(), ids=DAMAGED)
+    def test_bad_sidecar_is_parsed_again_and_rewritten(self, nsl_file, parsed, damage):
+        want = outcome(load_csv, [nsl_file], NSL_KDD)
+        good = sidecar(nsl_file).read_bytes()
+        bad = damage(good)
+        assert bad != good
+        sidecar(nsl_file).write_bytes(bad)
+        assert outcome(load_csv, [nsl_file], NSL_KDD) == want
+        assert sidecar(nsl_file).read_bytes() == good
+        assert outcome(load_csv, [nsl_file], NSL_KDD) == want
+        assert parsed == [nsl_file, nsl_file]
+
+    def test_sidecar_of_another_schema_is_parsed_again_and_rewritten(self, nsl_file,
+                                                                     parsed):
+        other = replace(NSL_KDD, label_aliases={"neptune": "smurf"})
+        assert load_csv(nsl_file, other).label_values[1] == "smurf"
+        stale = sidecar(nsl_file).read_bytes()
+        want = outcome(reference_load_csv, [nsl_file], NSL_KDD)
+        assert outcome(load_csv, [nsl_file], NSL_KDD) == want
+        assert sidecar(nsl_file).read_bytes() != stale
+        assert outcome(load_csv, [nsl_file], NSL_KDD) == want
+        assert parsed == [nsl_file, nsl_file]
+
+    def test_sidecar_path_that_cannot_be_replaced(self, nsl_file, parsed):
+        # tests run as root, so a read-only mode would not stop the write
+        sidecar(nsl_file).mkdir()
+        want = outcome(reference_load_csv, [nsl_file], NSL_KDD)
+        for _ in range(2):
+            assert outcome(load_csv, [nsl_file], NSL_KDD) == want
+        assert parsed == [nsl_file, nsl_file]
+        # the temporary file was removed
+        assert sorted(os.listdir(Path(nsl_file).parent)) == ["kdd.csv", "kdd.csv.lunetcache"]
+
+    @pytest.mark.parametrize("cell", ["oops", "nan"])
+    def test_file_with_an_error_leaves_no_sidecar(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        write_nsl_csv(path, [("normal", "20", None), ("neptune", "18", {4: cell})])
+        errors = []
+        for _ in range(2):
+            with pytest.raises(DataError) as e:
+                load_csv(str(path), NSL_KDD)
+            errors.append(str(e.value))
+            assert os.listdir(tmp_path) == ["bad.csv"]
+        assert errors[0] == errors[1]
+        assert "bad.csv row 2, column 'src_bytes'" in errors[0]
 
 
 def reference_encode(raw):
@@ -355,6 +473,28 @@ class TestInPlaceNumerics:
         sub = before[fit_rows]
         assert_bitwise(mean, sub.mean(axis=0))
         assert_bitwise(std, sub.std(axis=0))
+
+    @pytest.mark.parametrize("block", [1, 4, 5, 512])
+    @pytest.mark.parametrize("pick", ["one-row", "all", "shuffled", "repeats"])
+    def test_fit_in_blocks_equals_numpy_mean_and_std(self, monkeypatch, block, pick):
+        # block counts that do not divide the row count, a constant column
+        # and a one-row fit set
+        rng = np.random.default_rng(11)
+        x = rng.normal(-2.0, 30.0, size=(1283, 7)) * rng.integers(0, 2, size=(1283, 7))
+        x[:, 4] = 0.25
+        fit_rows = {"one-row": np.array([1282]), "all": np.arange(1283),
+                    "shuffled": rng.permutation(1283)[:1131],
+                    "repeats": rng.integers(0, 1283, size=1029)}[pick]
+        monkeypatch.setattr(data, "FIT_BLOCK", block)
+        mean, std = fit_standardization(x, fit_rows)
+        assert_bitwise(mean, x[fit_rows].mean(axis=0))
+        assert_bitwise(std, x[fit_rows].std(axis=0))
+        assert np.all(std[4] == 0.0)
+
+    @pytest.mark.parametrize("fit_rows", [[], [0, 37], [-1]])
+    def test_fit_rows_must_index_the_features(self, fit_rows):
+        with pytest.raises((ValueError, IndexError)):
+            fit_standardization(numeric_fixture(), np.array(fit_rows, dtype=np.int64))
 
     @pytest.mark.parametrize("fit_rows", FIT_SETS, ids=["one-row", "all", "strided"])
     def test_apply_equals_subtract_then_divide(self, fit_rows):
