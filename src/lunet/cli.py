@@ -18,7 +18,7 @@ import numpy as np
 from . import model as model_mod
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (SCHEMAS, DataError, DatasetTable, apply_standardization,
-                   load_csv, prepare_dataset, standardize, stratified_kfold,
+                   fit_standardization, load_csv, prepare_dataset, stratified_kfold,
                    stratified_subsample, synth_dataset, utf8_lines)
 from .metrics import (EvalReport, aggregate_folds, binary_metrics, confusion,
                       confusion_csv, per_class_metrics, render_report)
@@ -80,17 +80,15 @@ class RunConfig:
     subsample: int = _setting(0, "subsample", int, "--subsample",
                               help="stratified subsample size (0 = all rows)")
     checkpoint: str = _setting("", "checkpoint", str, "--checkpoint")
-    levels: tuple = _setting((64, 128, 256), "model.levels", _int_list, "--levels",
+    levels: tuple = _setting(LuNetSpec.levels, "model.levels", _int_list, "--levels",
                              help="comma-separated level widths")
-    kernel_size: int = _setting(3, "model.kernel_size", int)
-    pool_size: int = _setting(2, "model.pool_size", int)
-    dropout_rate: float = _setting(0.5, "model.dropout_rate", finite_float)
-    final_conv_filters: int = _setting(256, "model.final_conv_filters", int)
-    epochs: int = _setting(20, "train.epochs", int, "--epochs")
-    batch_size: int = _setting(32, "train.batch_size", int, "--batch-size")
-    learning_rate: float = _setting(0.001, "optimizer.learning_rate", finite_float, "--lr")
-    rho: float = _setting(0.9, "optimizer.rho", finite_float)
-    opt_epsilon: float = _setting(1e-7, "optimizer.epsilon", finite_float)
+    final_conv_filters: int = _setting(LuNetSpec.final_conv_filters,
+                                       "model.final_conv_filters", int)
+    epochs: int = _setting(TrainConfig.epochs, "train.epochs", int, "--epochs")
+    batch_size: int = _setting(TrainConfig.batch_size, "train.batch_size", int,
+                               "--batch-size")
+    learning_rate: float = _setting(RmsPropConfig.learning_rate, "optimizer.learning_rate",
+                                    finite_float, "--lr")
     synth_samples: int = _setting(512, "synth.samples", int)
     synth_features: int = _setting(64, "synth.features", int)
     synth_separation: float = _setting(4.0, "synth.separation", finite_float)
@@ -202,9 +200,7 @@ def make_spec(cfg: RunConfig, input_features: int, num_classes: int,
               init_seed: int) -> LuNetSpec:
     return _configured(
         LuNetSpec, input_features=input_features, num_classes=num_classes,
-        levels=cfg.levels, kernel_size=cfg.kernel_size, pool_size=cfg.pool_size,
-        dropout_rate=cfg.dropout_rate, final_conv_filters=cfg.final_conv_filters,
-        init_seed=init_seed)
+        levels=cfg.levels, final_conv_filters=cfg.final_conv_filters, init_seed=init_seed)
 
 
 # Rows per infer-mode forward, picked by measurement: 1,024 rows through a
@@ -223,26 +219,25 @@ def predict_batched(model, features: np.ndarray) -> np.ndarray:
 
 def _train_one_fold(cfg: RunConfig, table: DatasetTable, train_idx, val_idx,
                     fold: int):
-    table = standardize(table, train_idx)
-    x, (mean, std) = table.features, table.standardization
+    mean, std = fit_standardization(table.features, train_idx)
+    x = apply_standardization(table.features, mean, std)
     spec = make_spec(cfg, x.shape[1], len(table.class_names), cfg.seed + fold)
     model = _configured(model_mod.build, spec=spec)
     tc = _configured(TrainConfig, epochs=cfg.epochs, batch_size=cfg.batch_size,
                      seed=cfg.seed + fold)
-    oc = _configured(RmsPropConfig, learning_rate=cfg.learning_rate, rho=cfg.rho,
-                     epsilon=cfg.opt_epsilon)
+    oc = _configured(RmsPropConfig, learning_rate=cfg.learning_rate)
     if tc.batch_size > len(train_idx):
         raise ConfigError(f"batch_size {tc.batch_size} exceeds the {len(train_idx)} "
                           f"training rows of fold {fold}")
     fit(model, x[train_idx], table.labels[train_idx], tc, oc,
-        log=lambda line: print(f'{{"fold": {fold}, ' + line[1:]))
+        log=lambda record: print(
+            '{"fold": %d, "epoch": %d, "loss": %.6f, "train_acc": %.6f}' % (fold, *record)))
     pred = predict_batched(model, x[val_idx])
     cm = confusion(table.labels[val_idx], pred, table.class_names)
     return model, mean, std, cm
 
 
 def write_report(cfg: RunConfig, report: EvalReport):
-    os.makedirs(cfg.output_dir, exist_ok=True)
     jsonl = render_report(report, "json-lines")
     with open(os.path.join(cfg.output_dir, "report.jsonl"), "w", encoding="utf-8") as fh:
         fh.write(jsonl)
@@ -270,10 +265,20 @@ def assemble_report(per_fold_cms) -> EvalReport:
         per_class=per_class_metrics(pooled_cm))
 
 
+def _make_dirs(*paths: str):
+    """Create each directory a command writes to, before any work starts."""
+    for path in paths:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create directory {path}: {e.strerror}") from None
+
+
 def cmd_crossval(cfg: RunConfig) -> int:
     cfg.validate()
     if cfg.folds < 2:
         raise ConfigError(f"cross-validation needs folds >= 2, got {cfg.folds}")
+    _make_dirs(cfg.output_dir)
     table = load_run_dataset(cfg, cfg.folds)
     plan = stratified_kfold(table.labels, cfg.folds, cfg.seed, table.class_names)
     cms = []
@@ -288,12 +293,14 @@ def cmd_crossval(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     """Single-split convenience: stratified k=TRAIN_FOLDS, fold 0 held out."""
     cfg.validate()
+    ckpt_path = cfg.checkpoint or os.path.join(cfg.output_dir, "model.lunet")
+    _make_dirs(cfg.output_dir, os.path.dirname(ckpt_path) or os.curdir)
+    if os.path.isdir(ckpt_path):
+        raise ConfigError(f"checkpoint path is a directory: {ckpt_path}")
     table = load_run_dataset(cfg, TRAIN_FOLDS)
     plan = stratified_kfold(table.labels, TRAIN_FOLDS, cfg.seed, table.class_names)
     model, mean, std, cm = _train_one_fold(
         cfg, table, plan.train_indices(0), plan.val_indices(0), 0)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    ckpt_path = cfg.checkpoint or os.path.join(cfg.output_dir, "model.lunet")
     save_checkpoint(ckpt_path, model, mean, std, table.class_names,
                     table.encoded_columns, cfg.task)
     write_report(cfg, assemble_report([(0, cm)]))
@@ -306,6 +313,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if not os.path.exists(cfg.checkpoint):
         raise ConfigError(f"checkpoint does not exist: {cfg.checkpoint}")
     cfg.validate()
+    _make_dirs(cfg.output_dir)
     model, mean, std, class_names, encoded_columns, task = load_checkpoint(cfg.checkpoint)
     if task != cfg.task:
         raise ConfigError(f"checkpoint was trained for task {task!r}, got {cfg.task!r}")

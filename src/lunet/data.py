@@ -9,7 +9,7 @@ import csv
 import io
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 
 import numpy as np
@@ -135,7 +135,6 @@ class DatasetTable:
     labels: np.ndarray  # [samples] int
     encoded_columns: list
     class_names: list
-    standardization: tuple | None = None  # (mean, std) used, per column
 
 
 @dataclass
@@ -515,13 +514,6 @@ def apply_standardization(features: np.ndarray, mean: np.ndarray,
     out /= safe
     out[:, std < 1e-12] = 0.0
     return out
-
-
-def standardize(table: DatasetTable, fit_rows: np.ndarray) -> DatasetTable:
-    """New table with all rows transformed by stats fit on `fit_rows` only."""
-    mean, std = fit_standardization(table.features, fit_rows)
-    return replace(table, features=apply_standardization(table.features, mean, std),
-                   standardization=(mean, std))
 
 
 def stratified_kfold(labels: np.ndarray, k: int, seed: int,

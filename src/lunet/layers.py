@@ -1,13 +1,11 @@
 """Differentiable layers: 1D convolution, max pooling, batch normalization,
-LSTM, dropout, global average pooling, dense and softmax.
+LSTM, dropout, global average pooling and dense.
 
-Every layer but softmax exposes `backward(upstream)`, which returns the
-gradient w.r.t. the layer input and accumulates parameter gradients into
-`self.grads` (same keys and shapes as `self.params`). A train-mode forward
-keeps in `_cache` what backward needs; no layer builds backward state in infer
-mode, so there `_cache` is None and `backward` raises RuntimeError. Softmax
-has no backward of its own: training enters the stack below it with the fused
-softmax + cross-entropy gradient.
+Every layer exposes `backward(upstream)`, which returns the gradient w.r.t.
+the layer input and accumulates parameter gradients into `self.grads` (same
+keys and shapes as `self.params`). A train-mode forward keeps in `_cache` what
+backward needs; no layer builds backward state in infer mode, so there
+`_cache` is None and `backward` raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -23,6 +21,8 @@ from .tensor import Rng, sigmoid
 # rows/s is flat within noise; at 4 MiB a 64-row forward's peak grows. 1 MiB
 # keeps a block in L2 from its input product to its step.
 INFER_BLOCK_BYTES = 1 << 20
+
+BN_MOMENTUM = 0.99  # weight of the old value in a batch-norm running statistic
 
 
 class Layer:
@@ -168,18 +168,14 @@ class BatchNorm(Layer):
 
     Accepts [batch, features] or [batch, length, features]; statistics reduce
     over every axis but the last. Running statistics follow
-    running <- momentum * running + (1 - momentum) * batch_stat.
+    running <- BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch_stat.
     """
 
-    def __init__(self, features: int, momentum: float = 0.99, epsilon: float = 1e-5,
-                 name: str = "bn"):
+    def __init__(self, features: int, epsilon: float = 1e-5, name: str = "bn"):
         super().__init__(name)
-        if not 0.0 < momentum < 1.0:
-            raise ValueError("momentum must be in (0,1)")
         if epsilon <= 0:
             raise ValueError("epsilon must be > 0")
         self.features = features
-        self.momentum = momentum
         self.epsilon = epsilon
         self.add_param("gamma", np.ones(features))
         self.add_param("beta", np.zeros(features))
@@ -198,8 +194,8 @@ class BatchNorm(Layer):
                 raise ValueError(f"{self.name}: train mode needs batch >= 2, got {x.shape[0]}")
             mu = x.mean(axis=axes)
             var = x.var(axis=axes)  # population variance
-            self.running_mean[...] = self.momentum * self.running_mean + (1 - self.momentum) * mu
-            self.running_var[...] = self.momentum * self.running_var + (1 - self.momentum) * var
+            self.running_mean[...] = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mu
+            self.running_var[...] = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
         else:
             mu = self.running_mean
             var = self.running_var
@@ -393,17 +389,3 @@ class Dense(Layer):
         self.grads["W"] += x.T @ upstream
         self.grads["b"] += upstream.sum(axis=0)
         return upstream @ self.params["W"].T
-
-
-class Softmax(Layer):
-    """Row-wise softmax with max-subtraction for overflow safety."""
-
-    def __init__(self, name: str = "softmax"):
-        super().__init__(name)
-
-    def forward(self, x, mode="train"):
-        if x.ndim != 2 or x.shape[1] < 2:
-            raise ValueError(f"{self.name}: expected [batch, classes>=2], got {x.shape}")
-        z = x - x.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)

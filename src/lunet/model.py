@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import (LSTM, BatchNorm, Conv1D, Dense, Dropout, GlobalAvgPool,
-                     Layer, MaxPool1D, ReLU, Softmax)
-from .tensor import Rng
+                     Layer, MaxPool1D, ReLU)
+from .tensor import Rng, softmax
 
 
 @dataclass
@@ -89,15 +89,15 @@ class LuNetModel:
         out = x[:, :, None]
         for layer in self.layers:
             out = layer.forward(out, mode=self.mode)
-        return out
+        return softmax(out)
 
     def backward(self, delta: np.ndarray) -> np.ndarray:
         """Propagate a loss gradient through the stack.
 
-        `delta` is (probs - onehot)/batch and enters below the softmax layer
-        (the fused softmax + cross-entropy adjoint).
+        `delta` is (probs - onehot)/batch, the fused softmax + cross-entropy
+        adjoint w.r.t. the logits of the last layer.
         """
-        for layer in reversed(self.layers[:-1]):
+        for layer in reversed(self.layers):
             delta = layer.backward(delta)
         return delta[:, :, 0]
 
@@ -161,6 +161,5 @@ def build(spec: LuNetSpec) -> LuNetModel:
                       name="head.conv"),
                ReLU(name="head.relu"),
                GlobalAvgPool(name="head.gap"),
-               Dense(spec.final_conv_filters, spec.num_classes, init_rng, name="head.dense"),
-               Softmax(name="head.softmax")]
+               Dense(spec.final_conv_filters, spec.num_classes, init_rng, name="head.dense")]
     return LuNetModel(spec=spec, layers=layers)

@@ -1,4 +1,5 @@
-"""Shape checks, a numerically safe sigmoid and the deterministic random source.
+"""Shape checks, a numerically safe sigmoid and softmax, and the deterministic
+random source.
 
 Tensors are plain numpy float64 arrays in row-major order.
 """
@@ -33,6 +34,14 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     e += 1.0
     out /= e
     return out
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of [batch, classes] logits, with max-subtraction for
+    overflow safety."""
+    z = x - x.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 class Rng:

@@ -9,25 +9,21 @@ import numpy as np
 
 from .layers import Dropout
 from .model import LuNetModel
-from .tensor import Rng
+from .tensor import Rng, softmax
 
 LOG_CLAMP = 1e-12
 FD_STEP = 1e-5  # central finite-difference step of the gradient checker
+RHO = 0.9  # RMSprop's decay of the squared-gradient average
+EPSILON = 1e-7  # added to RMSprop's root mean square before it divides
 
 
 @dataclass
 class RmsPropConfig:
     learning_rate: float = 0.001
-    rho: float = 0.9
-    epsilon: float = 1e-7
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must be in (0,1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
 
 
 @dataclass
@@ -73,7 +69,7 @@ def cross_entropy_delta(probs: np.ndarray, labels_onehot: np.ndarray) -> np.ndar
 
 
 class RmsProp:
-    """acc <- rho*acc + (1-rho)*g^2; w <- w - lr*g/(sqrt(acc)+eps); grads zeroed.
+    """acc <- RHO*acc + (1-RHO)*g^2; w <- w - lr*g/(sqrt(acc)+EPSILON); grads zeroed.
 
     A step that leaves a parameter with a non-finite entry raises
     FloatingPointError naming the tensor."""
@@ -83,19 +79,19 @@ class RmsProp:
         self._acc: dict[str, np.ndarray] = {}
 
     def step(self, model: LuNetModel):
-        c = self.config
+        lr = self.config.learning_rate
         for name, layer, pname, value in model.named_params():
             g = layer.grads[pname]
             acc = self._acc.setdefault(name, np.zeros_like(value))
             # in place, in the operation order of the formula above, so the
             # results are bitwise those of the plain expression
-            upd = (1.0 - c.rho) * g
+            upd = (1.0 - RHO) * g
             upd *= g
-            acc *= c.rho
+            acc *= RHO
             acc += upd
             np.sqrt(acc, out=upd)
-            upd += c.epsilon
-            g *= c.learning_rate
+            upd += EPSILON
+            g *= lr
             np.divide(g, upd, out=upd)
             value -= upd
             g[...] = 0.0
@@ -139,14 +135,15 @@ def train_epoch(model: LuNetModel, features: np.ndarray, labels: np.ndarray,
 
 def fit(model: LuNetModel, features: np.ndarray, labels: np.ndarray,
         tc: TrainConfig, oc: RmsPropConfig | None = None, log=None):
-    """Run `tc.epochs` training epochs; `log(line)` gets one structured line each."""
+    """Run `tc.epochs` training epochs and return their history; `log` gets
+    each epoch's `(epoch, loss, train_acc)` record as it is appended."""
     optimizer = RmsProp(oc)
     history = []
     for epoch in range(tc.epochs):
         loss, acc = train_epoch(model, features, labels, tc, optimizer, epoch)
         history.append((epoch, loss, acc))
         if log is not None:
-            log(f'{{"epoch": {epoch}, "loss": {loss:.6f}, "train_acc": {acc:.6f}}}')
+            log(history[-1])
     return history
 
 
@@ -257,14 +254,13 @@ def standard_gradient_suite() -> dict[str, float]:
     check("dropout", L.Dropout(0.5, Rng(6)), data_rng.normal((3, 8)))
 
     # fused softmax + cross-entropy: gradient w.r.t. logits is (p - y)/batch
-    sm = L.Softmax()
     logits = data_rng.normal((4, 3))
     y = one_hot(np.array([0, 2, 1, 1]), 3)
 
     def sm_loss():
-        return cross_entropy_loss(sm.forward(logits), y)
+        return cross_entropy_loss(softmax(logits), y)
 
-    dlogits = cross_entropy_delta(sm.forward(logits), y)
+    dlogits = cross_entropy_delta(softmax(logits), y)
     results["softmax_xent"] = max(gradient_check(
         sm_loss, {"logits": (logits, dlogits)}).values())
 

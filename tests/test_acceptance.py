@@ -15,7 +15,7 @@ import pytest
 from lunet import LuNetSpec, build
 from lunet.cli import RunConfig, cmd_crossval, main
 from lunet.data import (fit_standardization, apply_standardization,
-                        standardize, stratified_kfold, synth_dataset)
+                        stratified_kfold, synth_dataset)
 from lunet.layers import (LSTM, BatchNorm, Conv1D, Dense, GlobalAvgPool,
                           MaxPool1D)
 from lunet.metrics import binary_metrics, confusion
@@ -162,7 +162,9 @@ def test_criterion_4_pipeline_properties():
 
 
 def overfit_run(seed=42):
-    table = standardize(synth_dataset(2, 64, 16, 8.0, seed), np.arange(64))
+    table = synth_dataset(2, 64, 16, 8.0, seed)
+    mean, std = fit_standardization(table.features, np.arange(64))
+    table.features = apply_standardization(table.features, mean, std)
     model = build(LuNetSpec(input_features=16, num_classes=2, levels=(4,),
                             final_conv_filters=4, init_seed=1))
     opt = RmsProp()

@@ -1,7 +1,7 @@
 """Command line boundaries: the settings table, bad train, float and synthetic
-settings, mismatched evaluation columns, non-finite, non-UTF-8 or oversized
-CSV cells, corrupt checkpoints and non-finite parameters each end in their
-documented exit code."""
+settings, output paths that cannot be made, mismatched evaluation columns,
+non-finite, non-UTF-8 or oversized CSV cells, corrupt checkpoints and
+non-finite parameters each end in their documented exit code."""
 
 from dataclasses import fields
 
@@ -88,13 +88,43 @@ def test_nan_gradient_exits_4_naming_the_tensor(tmp_path, monkeypatch, capsys):
 
     def nan_backward(self, delta):
         dx = backward(self, delta)
-        self.layers[-2].grads["W"][0, 0] = np.nan  # head.dense
+        self.layers[-1].grads["W"][0, 0] = np.nan  # head.dense
         return dx
 
     monkeypatch.setattr(LuNetModel, "backward", nan_backward)
     assert main(["train", "--dataset", "synthetic", "--levels", "4", "--epochs", "1",
                  "--output-dir", str(tmp_path)]) == EXIT_NUMERIC
     assert "non-finite parameter head.dense.W" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,path,message", [
+    ("crossval", "--output-dir", "taken", "cannot create directory {}: "),
+    ("train", "--output-dir", "taken", "cannot create directory {}: "),
+    ("evaluate", "--output-dir", "taken", "cannot create directory {}: "),
+    ("train", "--checkpoint", "taken/model.lunet", "cannot create directory {}: "),
+    ("train", "--checkpoint", "out", "checkpoint path is a directory: {}\n"),
+], ids=["crossval-output-dir", "train-output-dir", "evaluate-output-dir",
+        "checkpoint-under-a-file", "checkpoint-is-a-directory"])
+def test_unusable_output_path_exits_2_before_any_work(nsl_run, tmp_path, capsys,
+                                                      command, flag, path, message):
+    d, common = nsl_run
+    (tmp_path / "taken").write_text("")  # a file where a directory must go
+    argv = [command, *common, "--data-path", str(d / "ftp_http.csv"), "--folds", "2",
+            "--output-dir", str(tmp_path / "out"), flag, str(tmp_path / path)]
+    if command == "evaluate":
+        argv += ["--checkpoint", str(d / "model.lunet")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: " + message.format(tmp_path / path.split("/")[0]))
+    assert "Traceback" not in err and out == ""  # no epoch line: nothing trained
+
+
+def test_checkpoint_directory_is_created(tmp_path):
+    ckpt = tmp_path / "new" / "sub" / "model.lunet"
+    assert main(["train", "--dataset", "synthetic", "--levels", "4", "--epochs", "1",
+                 "--output-dir", str(tmp_path / "out"), "--checkpoint", str(ckpt)]) == EXIT_OK
+    assert ckpt.read_bytes().startswith(b"LUNET1\0")
 
 
 # 512 synthetic rows, fold 0 of 5 held out: 408 training rows
@@ -167,9 +197,9 @@ def test_non_finite_lr_flag_exits_2(tmp_path, capsys, value):
 
 @pytest.mark.parametrize("line,message", [
     ("optimizer.learning_rate = nan", "bad optimizer.learning_rate value"),
-    ("optimizer.rho = -inf", "bad optimizer.rho value"),
-    ("optimizer.epsilon = inf", "bad optimizer.epsilon value"),
-    ("model.dropout_rate = nan", "bad model.dropout_rate value"),
+    ("optimizer.rho = -inf", "bad config entry 'optimizer.rho = -inf'"),
+    ("optimizer.epsilon = inf", "bad config entry 'optimizer.epsilon = inf'"),
+    ("model.dropout_rate = nan", "bad config entry 'model.dropout_rate = nan'"),
     ("synth.separation = nan", "bad synth.separation value"),
     ("synth.samples = 0", "synth.samples must be > 0, got 0"),
     ("synth.samples = -3", "synth.samples must be > 0, got -3"),
@@ -192,7 +222,7 @@ def test_bad_config_setting_exits_2(tmp_path, capsys, line, message):
 def test_settings_table_declares_every_key_and_flag_once():
     keys = [f.metadata["key"] for f in fields(RunConfig)]
     flags = [f.metadata["flag"] for f in fields(RunConfig) if f.metadata["flag"]]
-    assert len(keys) == len(set(keys)) == 21
+    assert len(keys) == len(set(keys)) == 16
     assert len(flags) == len(set(flags)) == 12  # plus --config
     assert build_run_config(make_parser().parse_args(["train"])) == RunConfig()
 

@@ -14,7 +14,7 @@ from lunet import data
 from lunet.data import (CATEGORICAL, DROP, LABEL, NSL_KDD, NUMERIC, UNSW_NB15,
                         DataError, DatasetSchema, RawTable, encode_categorical,
                         fit_standardization, apply_standardization, load_csv,
-                        make_labels, standardize, stratified_kfold,
+                        make_labels, stratified_kfold,
                         stratified_subsample, synth_dataset)
 
 NSL_ROW = (["0", "tcp", "http", "SF"] + ["0"] * 37)[:41]
@@ -585,11 +585,10 @@ class TestStandardize:
 
     def test_validation_rows_use_train_stats(self):
         x = np.array([[0.0], [2.0], [100.0]])
-        table = synth_dataset(2, 3, 1, 1.0, 0)
-        table.features[...] = x
-        out = standardize(table, np.array([0, 1]))
+        mean, std = fit_standardization(x, np.array([0, 1]))
+        out = apply_standardization(x, mean, std)
         # fit on rows 0-1: mean 1, std 1 -> row 2 becomes 99, not its own z-score
-        np.testing.assert_allclose(out.features.ravel(), [-1.0, 1.0, 99.0])
+        np.testing.assert_allclose(out.ravel(), [-1.0, 1.0, 99.0])
 
     def test_train_fold_moments(self):
         rng = np.random.default_rng(0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lunet import LuNetSpec, build, layers
-from lunet.tensor import Rng
+from lunet.tensor import Rng, softmax
 
 
 def walk_shapes(spec):
@@ -20,8 +20,7 @@ def walk_shapes(spec):
     length = length - spec.kernel_size + 1  # head conv
     f = spec.final_conv_filters
     return shapes + [("head.conv", (length, f)), ("head.relu", (length, f)),
-                     ("head.gap", (f,)), ("head.dense", (spec.num_classes,)),
-                     ("head.softmax", (spec.num_classes,))]
+                     ("head.gap", (f,)), ("head.dense", (spec.num_classes,))]
 
 
 def run_layers(model, x):
@@ -145,11 +144,11 @@ class TestForward:
 
     def test_debug_shape_assertions(self, model):
         # every layer's output shape follows the oracle, and running the
-        # layers one at a time is exactly what forward does
+        # layers one at a time, then softmax, is exactly what forward does
         x = Rng(7).normal((2, 20))
         out, shapes = run_layers(model, x)
         assert shapes == walk_shapes(model.spec)
-        np.testing.assert_array_equal(out, model.forward(x))
+        np.testing.assert_array_equal(softmax(out), model.forward(x))
 
 
 class TestPredictClass:
@@ -178,8 +177,8 @@ class TestPredictClass:
         model = build(LuNetSpec(input_features=16, num_classes=2, levels=(4,),
                                 final_conv_filters=4))
         x = Rng(10).normal((4, 16))
-        model.forward(x)  # train mode: every layer but softmax keeps its cache
-        assert all(layer._cache is not None for layer in model.layers[:-1])
+        model.forward(x)  # train mode: every layer keeps its cache
+        assert all(layer._cache is not None for layer in model.layers)
         model.predict_class(x)
         assert all(layer._cache is None for layer in model.layers)
 
