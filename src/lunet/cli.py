@@ -1,7 +1,7 @@
 """Command line entry points: crossval, train, evaluate, gradcheck.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure,
-5 gradcheck failure.
+Exit codes: 0 success, 1 stdout closed before all output was written,
+2 config error, 3 data error, 4 numeric failure, 5 gradcheck failure.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .model import LuNetSpec
 from .train import (RmsPropConfig, TrainConfig, fit, standard_gradient_suite)
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -369,6 +370,18 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    try:
+        code = _run_command(args)
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (`lunet train ... | head -1`); what is still
+        # buffered goes to devnull, or the flush at exit would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _run_command(args) -> int:
     try:
         if args.command == "gradcheck":
             return cmd_gradcheck()

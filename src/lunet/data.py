@@ -9,6 +9,7 @@ import csv
 import io
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 
@@ -252,9 +253,11 @@ def _parse_file(p, blob: bytes, schema: DatasetSchema) -> RawTable:
                     if kind == NUMERIC:
                         columns[name].append(np.fromiter(map(float, cells), np.float64, n))
                     elif kind == CATEGORICAL:
-                        columns[name].extend(map(str.strip, cells))
+                        # one str object per distinct value, as a cache hit
+                        # gives: later dict and set lookups match on identity
+                        columns[name].extend(map(sys.intern, map(str.strip, cells)))
                     elif kind == LABEL:
-                        labels = list(map(str.strip, cells))
+                        labels = list(map(sys.intern, map(str.strip, cells)))
                         label_values.extend(map(aliases.get, labels, labels))
             except ValueError:
                 raise _first_fault(p, block, row_no, schema) from None

@@ -6,9 +6,25 @@ the layer input and accumulates parameter gradients into `self.grads` (same
 keys and shapes as `self.params`). A train-mode forward keeps in `_cache` what
 backward needs; no layer builds backward state in infer mode, so there
 `_cache` is None and `backward` raises RuntimeError.
+
+Where BLAS runs one thread and a second CPU is there (QUEUE_PRODUCTS),
+`Conv1D.backward` and `LSTM.backward` compute the input gradient on the
+calling thread and queue their weight-gradient products on one daemon thread
+("lunet-grads", started by the first such backward in a process, and kept
+off the CPU of the thread that queues them), so those products run beside
+the backward pass of the layers below. Reading `grads` waits for the layer's
+queued products and raises any exception they raised. Each product keeps
+the shape, operands and accumulation order it has inline, so the gradients
+are bitwise those of a single-threaded backward. A queued product reads the
+layer's forward input and its `upstream`, so a caller must not write into
+either until it has read `grads`.
 """
 
 from __future__ import annotations
+
+import os
+import queue
+import threading
 
 import numpy as np
 
@@ -25,21 +41,133 @@ INFER_BLOCK_BYTES = 1 << 20
 BN_MOMENTUM = 0.99  # weight of the old value in a batch-norm running statistic
 
 
+def _queue_pays() -> bool:
+    """Whether queueing products on the worker can pay: BLAS runs one thread
+    (OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is 1, read as BLAS reads them
+    when it loads) and the process may run on a second CPU. BLAS threads of
+    their own would contend with the worker for the cores: at 2 BLAS threads
+    on 2 cores a paper-width step ran 9% slower with the worker."""
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (blas or "").strip() == "1" and (cpus or 1) >= 2
+
+
+QUEUE_PRODUCTS = _queue_pays()
+
+
+class _Job:
+    """A queued weight-gradient computation and how it ended."""
+
+    def __init__(self, fn):
+        self.fn, self.error, self.done = fn, None, threading.Event()
+
+
+class _GradWorker:
+    """The daemon thread that runs queued jobs one at a time, in queue order.
+
+    A job only reads arrays its layer no longer writes and adds into that
+    layer's gradient buffers, which nothing else touches until `grads` has
+    waited for it. It calls no layer, model or train function, so wrappers
+    that time those from one thread never see this one."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self.jobs: queue.SimpleQueue[_Job] = queue.SimpleQueue()
+        # the CPUs the process may run on; empty where threads cannot be pinned
+        self.cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+        self.avoided: int | None = None
+        self.thread = threading.Thread(target=self._run, name="lunet-grads", daemon=True)
+        self.thread.start()
+
+    def keep_off(self, cpu: int | None):
+        """Let the worker run on any of the process's CPUs but `cpu`, the one
+        the thread queueing jobs is on. Left to itself, a kernel may wake the
+        worker on its waker's CPU every time, so that the two threads share
+        one core while another idles: on a 2-vCPU VM, where an idle vCPU
+        reads as preempted, they shared one in every sample taken."""
+        if cpu is None or cpu == self.avoided or len(self.cpus) < 2:
+            return
+        self.avoided = cpu
+        try:
+            os.sched_setaffinity(self.thread.native_id, self.cpus - {cpu})
+        except OSError:  # the process's CPUs changed since; leave it be
+            pass
+
+    def _run(self):
+        while True:
+            job = self.jobs.get()
+            try:
+                job.fn()
+            except Exception as e:  # raised again where the grads are read
+                job.error = e
+            job.fn = None  # let go of the operands
+            job.done.set()
+
+
+def _current_cpu() -> int | None:
+    """The CPU the calling thread runs on (Linux: field 39 of
+    /proc/thread-self/stat), or None where that cannot be read."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+# One worker per process, shared by every layer: a second core is all it can
+# use. A forked child does not inherit the thread, so it starts its own.
+_grad_worker: _GradWorker | None = None
+_grad_worker_lock = threading.Lock()
+
+
+def _worker() -> _GradWorker:
+    global _grad_worker
+    with _grad_worker_lock:
+        if _grad_worker is None or _grad_worker.pid != os.getpid():
+            _grad_worker = _GradWorker()
+        return _grad_worker
+
+
 class Layer:
     """Base: named parameter map plus a same-shaped gradient accumulator map."""
 
     def __init__(self, name: str = ""):
         self.name = name or self.__class__.__name__.lower()
         self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
+        self._grads: dict[str, np.ndarray] = {}
+        self._jobs: list[_Job] = []
         self._cache = None
+
+    @property
+    def grads(self) -> dict[str, np.ndarray]:
+        """The gradient accumulators, once every job this layer queued is
+        done; the first exception such a job raised is raised here."""
+        jobs, self._jobs = self._jobs, []
+        for job in jobs:
+            job.done.wait()
+        for job in jobs:
+            if job.error is not None:
+                raise job.error
+        return self._grads
+
+    def _defer(self, fn):
+        """Run `fn`, which adds into `self._grads`, on the gradient worker, or
+        here where the worker cannot pay (QUEUE_PRODUCTS)."""
+        if not QUEUE_PRODUCTS:
+            fn()
+            return
+        job = _Job(fn)
+        self._jobs.append(job)
+        worker = _worker()
+        worker.keep_off(_current_cpu())
+        worker.jobs.put(job)
 
     def add_param(self, pname: str, value: np.ndarray):
         if pname in self.params:
             raise ValueError(f"duplicate parameter name {pname!r} in {self.name}")
         self.params[pname] = value
         # calloc'd: a model that never trains never touches these pages
-        self.grads[pname] = np.zeros(value.shape)
+        self._grads[pname] = np.zeros(value.shape)
 
     def zero_grads(self):
         for g in self.grads.values():
@@ -100,13 +228,18 @@ class Conv1D(Layer):
         if upstream.shape != (x.shape[0], l_out, self.c_out):
             raise ValueError(f"{self.name}: upstream shape {upstream.shape} mismatch")
         taps = np.ascontiguousarray(self.params["filters"].transpose(2, 0, 1))  # [m, c_out, c_in]
-        u2 = upstream.reshape(-1, self.c_out)
+
+        def weight_grads():
+            u2 = upstream.reshape(-1, self.c_out)
+            df = self._grads["filters"]
+            for j in range(self.m):
+                df[:, :, j] += u2.T @ x[:, j:j + l_out, :].reshape(-1, self.c_in)
+            self._grads["bias"] += upstream.sum(axis=(0, 1))
+
+        self._defer(weight_grads)
         dx = np.zeros_like(x)
-        df = self.grads["filters"]
         for j in range(self.m):
-            df[:, :, j] += u2.T @ x[:, j:j + l_out, :].reshape(-1, self.c_in)
             dx[:, j:j + l_out, :] += upstream @ taps[j]
-        self.grads["bias"] += upstream.sum(axis=(0, 1))
         return dx
 
 
@@ -129,8 +262,9 @@ class MaxPool1D(Layer):
 
     Forward returns each window's maximum (NaN if the window holds one; a
     tie of +0 and -0 may give either zero). Backward routes the gradient to
-    the first maximal element per window, found from the windows kept by
-    forward.
+    the first maximal element per window. A train-mode forward keeps only
+    that element's index in its window, in the smallest unsigned integer type
+    that holds it, not the windows: a sixteenth of their size at pool size 2.
     """
 
     def __init__(self, pool: int, name: str = "maxpool"):
@@ -147,16 +281,19 @@ class MaxPool1D(Layer):
             raise ValueError(f"{self.name}: length {length} < pool size {self.pool}")
         n = length // self.pool
         xw = x[:, :n * self.pool, :].reshape(b, n, self.pool, c)
-        self._cache = (x.shape, xw) if mode == "train" else None
+        if mode == "train":
+            idx = np.argmax(xw, axis=2)  # first occurrence on ties
+            self._cache = (x.shape, idx.astype(np.min_scalar_type(self.pool - 1)))
+        else:
+            self._cache = None
         return xw.max(axis=2)
 
     def backward(self, upstream):
-        shape, xw = self._require_cache()
+        shape, idx = self._require_cache()
         b, length, c = shape
-        n = xw.shape[1]
+        n = idx.shape[1]
         if upstream.shape != (b, n, c):
             raise ValueError(f"{self.name}: upstream shape {upstream.shape} mismatch")
-        idx = np.argmax(xw, axis=2)  # first occurrence on ties
         dx = np.zeros(shape)
         dxw = dx[:, :n * self.pool, :].reshape(b, n, self.pool, c)
         np.put_along_axis(dxw, idx[:, :, None, :], upstream[:, :, None, :], axis=2)
@@ -292,7 +429,7 @@ class LSTM(Layer):
     def backward(self, upstream):
         x, gates, hs, ss = self._require_cache()
         b, length, _ = x.shape
-        c, p, g = self.cells, self.params, self.grads
+        c, p = self.cells, self.params
         if upstream.shape != (b, length, c):
             raise ValueError(f"{self.name}: upstream shape {upstream.shape} mismatch")
         # batch-major, so the products after the loop need no transpose and
@@ -315,10 +452,15 @@ class LSTM(Layer):
             ds_next = ds * f_g
             dh_next = dz @ p["W"].T
         da = da.reshape(-1, 4 * c)
-        h_prev = hs[:-1].transpose(1, 0, 2).reshape(-1, c)  # a batch-major copy
-        g["U"] += x.reshape(-1, self.in_dim).T @ da
-        g["W"] += h_prev.T @ da
-        g["b"] += da.sum(axis=0)
+
+        def weight_grads():
+            g = self._grads
+            h_prev = hs[:-1].transpose(1, 0, 2).reshape(-1, c)  # a batch-major copy
+            g["U"] += x.reshape(-1, self.in_dim).T @ da
+            g["W"] += h_prev.T @ da
+            g["b"] += da.sum(axis=0)
+
+        self._defer(weight_grads)
         return (da @ p["U"].T).reshape(x.shape)
 
 

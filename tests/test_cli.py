@@ -264,3 +264,19 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(os.path.join(out, "report.jsonl"))
+
+
+def test_stdout_closed_after_one_line_is_exit_1_without_traceback(tmp_path):
+    # unbuffered, so each epoch line is its own write; an epoch takes about
+    # 0.1 s, long after the pipe is closed
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lunet.cli", "train", "--dataset", "synthetic",
+         "--levels", "4", "--epochs", "20", "--output-dir", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert first.startswith('{"fold": 0, "epoch": 0,')
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err

@@ -359,6 +359,20 @@ class TestTableCache:
         assert parsed == paths
         assert load_csv(nsl_file, NSL_KDD, paths[1:]).n_rows == 7
 
+    def test_cold_parse_shares_one_object_per_value(self, tmp_path, parsed):
+        path = tmp_path / "kdd.csv"
+        write_nsl_csv(path, [("normal", "1", None), ("smurf", "2", {1: "udp"}),
+                             ("normal", "3", None), ("smurf", "4", {1: "udp"})])
+        raw = load_csv(str(path), NSL_KDD)
+        assert parsed == [str(path)]
+        for col in (raw.columns["protocol_type"], raw.columns["service"],
+                    raw.label_values):
+            first = {}
+            assert all(first.setdefault(v, v) is v for v in col)
+        drop_sidecars([str(path)])
+        assert outcome(load_csv, [str(path)], NSL_KDD) == \
+            outcome(reference_load_csv, [str(path)], NSL_KDD)
+
     def test_second_load_never_parses(self, nsl_file, monkeypatch):
         want = outcome(load_csv, [nsl_file], NSL_KDD)
 

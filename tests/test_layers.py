@@ -138,6 +138,24 @@ class TestMaxPool1D:
         got = MaxPool1D(pool).forward(x)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("pool", [2, 3])
+    def test_backward_from_one_byte_per_window(self, pool):
+        # the train-mode cache is each window's first argmax as a uint8;
+        # backward routes every upstream value to that element, NaN windows too
+        rng = Rng(pool + 10)
+        x = np.floor(rng.normal((4, 17, 5)) * 2)
+        x[rng.uniform((4, 17, 5)) < 0.1] = np.nan
+        layer = MaxPool1D(pool)
+        layer.forward(x)
+        n = 17 // pool
+        assert layer._cache[1].dtype == np.uint8 and layer._cache[1].shape == (4, n, 5)
+        up = rng.normal((4, n, 5))
+        first = np.argmax(x[:, :n * pool].reshape(4, n, pool, 5), axis=2)
+        want = np.zeros_like(x)
+        for b, w, c in np.ndindex(4, n, 5):
+            want[b, w * pool + first[b, w, c], c] = up[b, w, c]
+        np.testing.assert_array_equal(layer.backward(up), want)
+
     def test_tie_gradient_goes_to_first(self):
         pool = MaxPool1D(2)
         x = seq([4, 4])
