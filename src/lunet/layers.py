@@ -8,16 +8,23 @@ backward needs; no layer builds backward state in infer mode, so there
 `_cache` is None and `backward` raises RuntimeError.
 
 Where BLAS runs one thread and a second CPU is there (QUEUE_PRODUCTS),
-`Conv1D.backward` and `LSTM.backward` compute the input gradient on the
-calling thread and queue their weight-gradient products on one daemon thread
-("lunet-grads", started by the first such backward in a process, and kept
-off the CPU of the thread that queues them), so those products run beside
-the backward pass of the layers below. Reading `grads` waits for the layer's
-queued products and raises any exception they raised. Each product keeps
-the shape, operands and accumulation order it has inline, so the gradients
-are bitwise those of a single-threaded backward. A queued product reads the
-layer's forward input and its `upstream`, so a caller must not write into
-either until it has read `grads`.
+`Conv1D` and `LSTM` hand independent products to one daemon thread
+("lunet-grads", started by the first such layer call in a process, and kept
+off the CPU of the thread that hands them over), in both modes:
+- `Conv1D.forward` computes the second half of the batch rows there while
+  the calling thread computes the first half, and waits for it;
+- `LSTM.forward` makes the input products of the next block of timesteps
+  there while the calling thread steps through the current block;
+- `Conv1D.backward` and `LSTM.backward` compute the input gradient on the
+  calling thread and queue their weight-gradient products there, so those
+  run beside the backward pass of the layers below. Reading `grads` waits
+  for the layer's queued products and raises any exception they raised. A
+  queued product reads the layer's forward input and its `upstream`, so a
+  caller must not write into either until it has read `grads`.
+Each product keeps the shape, operands and accumulation order it has inline,
+so every output and gradient is bitwise that of a single-threaded pass. A
+forward waits for its own products, or makes one itself that the worker has
+not started, and raises any exception they raised.
 """
 
 from __future__ import annotations
@@ -25,13 +32,14 @@ from __future__ import annotations
 import os
 import queue
 import threading
+from functools import partial
 
 import numpy as np
 
 from .tensor import Rng, sigmoid
 
-# Bytes of LSTM gate pre-activations an infer-mode forward makes per block of
-# timesteps (at least one step). Measured at the paper widths (Xeon with 2 MiB
+# Bytes of LSTM gate pre-activations a forward makes per block of timesteps
+# (at least one step). Measured at the paper widths (Xeon with 2 MiB
 # of L2 per core, BLAS 1 thread): from 128 KiB to 2 MiB a 256-row forward's
 # traced peak is flat at 36.7 MiB, set by the level-0 conv activations, and
 # rows/s is flat within noise; at 4 MiB a 64-row forward's peak grows. 1 MiB
@@ -56,19 +64,33 @@ QUEUE_PRODUCTS = _queue_pays()
 
 
 class _Job:
-    """A queued weight-gradient computation and how it ended."""
+    """A computation queued on the worker and how it ended."""
 
     def __init__(self, fn):
         self.fn, self.error, self.done = fn, None, threading.Event()
+        self._taken = threading.Lock()
+
+    def run(self):
+        """Run the job on this thread, unless another thread has taken it."""
+        if not self._taken.acquire(blocking=False):
+            return
+        try:
+            self.fn()
+        except Exception as e:  # raised again where the job is waited for
+            self.error = e
+        self.fn = None  # let go of the operands
+        self.done.set()
 
 
 class _GradWorker:
     """The daemon thread that runs queued jobs one at a time, in queue order.
 
-    A job only reads arrays its layer no longer writes and adds into that
-    layer's gradient buffers, which nothing else touches until `grads` has
-    waited for it. It calls no layer, model or train function, so wrappers
-    that time those from one thread never see this one."""
+    A job only reads arrays that nothing writes until it is done, and writes
+    only where nothing reads until then: a forward job into rows or a block
+    of its layer's output or gate buffers, which the forward waits for
+    (`_join`); a backward job into its layer's gradient buffers, which
+    `grads` waits for. It calls no layer, model or train function, so
+    wrappers that time those from one thread never see this one."""
 
     def __init__(self):
         self.pid = os.getpid()
@@ -95,13 +117,7 @@ class _GradWorker:
 
     def _run(self):
         while True:
-            job = self.jobs.get()
-            try:
-                job.fn()
-            except Exception as e:  # raised again where the grads are read
-                job.error = e
-            job.fn = None  # let go of the operands
-            job.done.set()
+            self.jobs.get().run()
 
 
 def _current_cpu() -> int | None:
@@ -128,6 +144,29 @@ def _worker() -> _GradWorker:
         return _grad_worker
 
 
+def _submit(fn) -> _Job | None:
+    """Start `fn` on the worker and return its job, or run it here and return
+    None where the worker cannot pay (QUEUE_PRODUCTS)."""
+    if not QUEUE_PRODUCTS:
+        fn()
+        return None
+    job = _Job(fn)
+    worker = _worker()
+    worker.keep_off(_current_cpu())
+    worker.jobs.put(job)
+    return job
+
+
+def _join(job: _Job | None):
+    """Wait for a job `_submit` returned, or run it here if the worker has not
+    started it; raise the exception it raised."""
+    if job is not None:
+        job.run()
+        job.done.wait()
+        if job.error is not None:
+            raise job.error
+
+
 class Layer:
     """Base: named parameter map plus a same-shaped gradient accumulator map."""
 
@@ -151,16 +190,11 @@ class Layer:
         return self._grads
 
     def _defer(self, fn):
-        """Run `fn`, which adds into `self._grads`, on the gradient worker, or
-        here where the worker cannot pay (QUEUE_PRODUCTS)."""
-        if not QUEUE_PRODUCTS:
-            fn()
-            return
-        job = _Job(fn)
-        self._jobs.append(job)
-        worker = _worker()
-        worker.keep_off(_current_cpu())
-        worker.jobs.put(job)
+        """Run `fn`, which adds into `self._grads`, on the worker, or here
+        where the worker cannot pay; `grads` waits for it."""
+        job = _submit(fn)
+        if job is not None:
+            self._jobs.append(job)
 
     def add_param(self, pname: str, value: np.ndarray):
         if pname in self.params:
@@ -208,18 +242,28 @@ class Conv1D(Layer):
     def forward(self, x, mode="train"):
         if x.ndim != 3 or x.shape[2] != self.c_in:
             raise ValueError(f"{self.name}: expected [batch, length, {self.c_in}], got {x.shape}")
-        _, length, _ = x.shape
+        b, length, _ = x.shape
         if length < self.m:
             raise ValueError(f"{self.name}: input length {length} < kernel size {self.m}")
         l_out = length - self.m + 1
         # contiguous taps [m, c_in, c_out]: a strided f[:, :, j].T cannot go to BLAS
         taps = np.ascontiguousarray(self.params["filters"].transpose(2, 1, 0))
-        out = np.broadcast_to(self.params["bias"], (x.shape[0], l_out, self.c_out)).copy()
+        out = np.empty((b, l_out, self.c_out))
         # with one input channel a tap is an outer product: a broadcast multiply
         # gives the bits of the K=1 GEMM without its call overhead
         tap = np.multiply if self.c_in == 1 else np.matmul
-        for j in range(self.m):
-            out += tap(x[:, j:j + l_out, :], taps[j])
+
+        def rows(lo, hi):
+            # matmul on the strided view makes one GEMM per batch row, so a
+            # row's bits do not depend on which rows share the call
+            o = out[lo:hi]
+            o[...] = self.params["bias"]
+            for j in range(self.m):
+                o += tap(x[lo:hi, j:j + l_out, :], taps[j])
+
+        job = _submit(partial(rows, b // 2, b))
+        rows(0, b // 2)
+        _join(job)
         self._cache = (x, l_out) if mode == "train" else None
         return out
 
@@ -282,8 +326,16 @@ class MaxPool1D(Layer):
         n = length // self.pool
         xw = x[:, :n * self.pool, :].reshape(b, n, self.pool, c)
         if mode == "train":
-            idx = np.argmax(xw, axis=2)  # first occurrence on ties
-            self._cache = (x.shape, idx.astype(np.min_scalar_type(self.pool - 1)))
+            # np.argmax's first maximum (the first NaN in a window that holds
+            # one) by a running compare, in under a third of its time
+            idx = np.zeros((b, n, c), np.min_scalar_type(self.pool - 1))
+            best = xw[:, :, 0]
+            for k in range(1, self.pool):
+                v = xw[:, :, k]
+                take = (v > best) | (np.isnan(v) & ~np.isnan(best))
+                idx += take * (k - idx)  # k where taken; idx < k, so nothing wraps
+                best = np.maximum(best, v)  # NaN once the window has held one
+            self._cache = (x.shape, idx)
         else:
             self._cache = None
         return xw.max(axis=2)
@@ -337,10 +389,18 @@ class BatchNorm(Layer):
             mu = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        xhat = (x - mu) * inv_std
+        xhat = x - mu
+        xhat *= inv_std
+        if mode != "train":
+            self._cache = None
+            xhat *= self.params["gamma"]
+            xhat += self.params["beta"]
+            return xhat
         n = int(np.prod([x.shape[a] for a in axes]))
-        self._cache = (xhat, inv_std, n, axes) if mode == "train" else None
-        return self.params["gamma"] * xhat + self.params["beta"]
+        self._cache = (xhat, inv_std, n, axes)
+        out = self.params["gamma"] * xhat
+        out += self.params["beta"]
+        return out
 
     def backward(self, upstream):
         xhat, inv_std, n, axes = self._require_cache()
@@ -364,8 +424,8 @@ class LSTM(Layer):
     makes one h @ W product and the input products are made for a block of
     timesteps at once. Gate activations and states are kept time-major
     ([length, batch, .]) between forward and backward. An infer-mode forward
-    holds one block of gate pre-activations (about INFER_BLOCK_BYTES) and one
-    cell-state row besides its output.
+    holds two blocks of gate pre-activations (about INFER_BLOCK_BYTES each)
+    and one cell-state row besides its output.
     """
 
     def __init__(self, in_dim: int, cells: int, rng: Rng, name: str = "lstm"):
@@ -387,42 +447,50 @@ class LSTM(Layer):
         c, p = self.cells, self.params
         train = mode == "train"
         # Time-major, so each step reads and writes contiguous rows. The input
-        # products b + x(t) @ U are made a block of timesteps at a time, into
-        # gates; gates[k] is overwritten at its step with the gate activations
+        # products b + x(t) @ U are made a block of about INFER_BLOCK_BYTES
+        # of timesteps at a time, each block's on the worker while the steps
+        # of the block before it run here. A block's rows are overwritten at
+        # their steps with the gate activations
         # sigmoid(p) | tanh(g) | sigmoid(f) | sigmoid(q). Backward reads every
-        # step's activations, so train makes one block of the whole sequence;
-        # infer reuses a block of about INFER_BLOCK_BYTES. A one-row product
-        # would go to GEMV and round differently, so one sequence alone also
-        # keeps a single block.
-        if train or b == 1:
-            block = length
-        else:
-            block = min(length, max(1, INFER_BLOCK_BYTES // (b * 4 * c * 8)))
-        gates = np.empty((block, b, 4 * c))
+        # step's activations, so train writes each block into its place in
+        # the full-length gates; infer alternates two block buffers. A
+        # one-row product would go to GEMV and round differently, so one
+        # sequence alone keeps a single block.
+        block = length if b == 1 else min(length, max(1, INFER_BLOCK_BYTES // (b * 4 * c * 8)))
+        gates = np.empty((length if train else min(length, 2 * block), b, 4 * c))
+
+        def block_at(t0):
+            """The gate rows of the block that starts at step t0."""
+            k0 = t0 if train else t0 % (2 * block)
+            return gates[k0:k0 + min(block, length - t0)]
+
+        def products(t0):
+            steps = block_at(t0)
+            xt = x[:, t0:t0 + len(steps)].transpose(1, 0, 2).reshape(-1, self.in_dim)  # a copy
+            np.matmul(xt, p["U"], out=steps.reshape(-1, 4 * c))
+            steps += p["b"]
+
         hs = np.zeros((length + 1, b, c))  # hs[t] is h(t-1); hs[0] is the zero state
         # train keeps every s(t) for backward; infer updates one row in place
         ss = np.zeros((length + 1 if train else 1, b, c))
         ig = np.empty((b, c))
-        for t in range(length):
-            k = t % block
-            if k == 0:
-                steps = gates[:min(block, length - t)]
-                xt = x[:, t:t + len(steps)].transpose(1, 0, 2).reshape(-1, self.in_dim)  # a copy
-                np.matmul(xt, p["U"], out=steps.reshape(-1, 4 * c))
-                steps += p["b"]
-            z = gates[k]
-            z += hs[t] @ p["W"]
-            i_g, g_g, f_q = z[:, :c], z[:, c:2 * c], z[:, 2 * c:]
-            sigmoid(i_g, out=i_g)
-            np.tanh(g_g, out=g_g)
-            sigmoid(f_q, out=f_q)
-            f_g, q_g = f_q[:, :c], f_q[:, c:]
-            s_prev, s, h = ss[t % len(ss)], ss[(t + 1) % len(ss)], hs[t + 1]
-            np.multiply(f_g, s_prev, out=s)
-            np.multiply(i_g, g_g, out=ig)
-            s += ig
-            np.tanh(s, out=h)
-            h *= q_g
+        products(0)
+        for t0 in range(0, length, block):
+            job = _submit(partial(products, t0 + block)) if t0 + block < length else None
+            for t, z in enumerate(block_at(t0), start=t0):
+                z += hs[t] @ p["W"]
+                i_g, g_g, f_q = z[:, :c], z[:, c:2 * c], z[:, 2 * c:]
+                sigmoid(i_g, out=i_g)
+                np.tanh(g_g, out=g_g)
+                sigmoid(f_q, out=f_q)
+                f_g, q_g = f_q[:, :c], f_q[:, c:]
+                s_prev, s, h = ss[t % len(ss)], ss[(t + 1) % len(ss)], hs[t + 1]
+                np.multiply(f_g, s_prev, out=s)
+                np.multiply(i_g, g_g, out=ig)
+                s += ig
+                np.tanh(s, out=h)
+                h *= q_g
+            _join(job)
         self._cache = (x, gates, hs, ss) if train else None
         return np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
 

@@ -4,15 +4,22 @@ synthetic runs, compared byte for byte with the files in
 
 They pin the epoch lines, the report records and the table. A change meant to
 alter those bytes rewrites the files from the same commands and says why.
+Each run is also made in a subprocess at one BLAS thread, where a host with a
+second CPU hands layer products to the `lunet-grads` worker, and must give
+the same bytes.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from lunet.cli import EXIT_OK, main
 
-GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden_cli"
+TESTS = Path(__file__).resolve().parent
+GOLDEN_DIR = TESTS / "data" / "golden_cli"
 
 COMMANDS = {
     "train": ["train", "--dataset", "synthetic", "--task", "multi", "--levels", "4,8",
@@ -27,5 +34,18 @@ def test_stdout_and_report_match_the_golden_bytes(tmp_path, capsys, name):
     assert main([*COMMANDS[name], "--output-dir", str(tmp_path)]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN_DIR / f"{name}.stdout").read_bytes()
+    assert ((tmp_path / "report.jsonl").read_bytes()
+            == (GOLDEN_DIR / f"{name}.report.jsonl").read_bytes())
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_one_blas_thread_gives_the_golden_bytes(tmp_path, name):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "lunet.cli", *COMMANDS[name],
+                           "--output-dir", str(tmp_path)],
+                          env=env, capture_output=True, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr.decode("utf-8", "replace")
+    assert proc.stdout == (GOLDEN_DIR / f"{name}.stdout").read_bytes()
     assert ((tmp_path / "report.jsonl").read_bytes()
             == (GOLDEN_DIR / f"{name}.report.jsonl").read_bytes())

@@ -1,8 +1,9 @@
-"""The weight-gradient worker: where BLAS runs one thread on a host with a
-second CPU, `Conv1D` and `LSTM` backward queue their weight-gradient products
-on the `lunet-grads` thread, and reading `grads` waits for them. Training
-with the worker must be bitwise what an inline backward gives, at any BLAS
-thread count."""
+"""The `lunet-grads` worker: where BLAS runs one thread on a host with a
+second CPU, `Conv1D` and `LSTM` forward hand half their batch rows or their
+next block of input products to it and wait for them, and their backward
+queues the weight-gradient products on it, which reading `grads` waits for.
+Inference and training with the worker must be bitwise what inline passes
+give, at any BLAS thread count."""
 
 import hashlib
 import json
@@ -65,7 +66,33 @@ def run_python(code: str, blas_threads: int | None = None):
                           capture_output=True, text=True, timeout=300)
 
 
+def paper_width_model(seed: int = 1):
+    """An infer-mode paper-width model with random biases, so that no bias
+    add is a no-op."""
+    model = build(LuNetSpec(input_features=122, num_classes=2, init_seed=seed))
+    for _, _, pname, value in model.named_params():
+        if pname in ("b", "bias"):
+            value[...] = Rng(value.size).normal(value.shape)
+    model.set_mode("infer")
+    return model
+
+
 class TestBitwise:
+    @pytest.mark.parametrize("batch", [1, 2, 3, 37, 64, 256])
+    def test_worker_equals_inline_forward(self, monkeypatch, batch):
+        model, x = paper_width_model(), Rng(12).normal((batch, 122))
+        monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
+        queued = model.forward(x)
+        monkeypatch.setattr(layers, "QUEUE_PRODUCTS", False)
+        np.testing.assert_array_equal(queued, model.forward(x))
+
+    def test_worker_equals_inline_training(self, monkeypatch):
+        # forward halves and blocks, and backward products, all queued or all inline
+        monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
+        queued = train_digests()
+        monkeypatch.setattr(layers, "QUEUE_PRODUCTS", False)
+        assert queued == train_digests()
+
     def test_worker_equals_inline_backward(self, monkeypatch):
         monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
         queued = train_digests()
@@ -110,6 +137,34 @@ class TestWorker:
         np.testing.assert_array_equal(layer.grads["w"], 1.0)
         layer._defer(add)
         np.testing.assert_array_equal(layer.grads["w"], 2.0)
+
+    def test_forward_error_surfaces_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
+        model, x = paper_width_model(), Rng(12).normal((4, 122))
+        want = model.forward(x)
+        submit = layers._submit
+
+        def fail():
+            raise FloatingPointError("forward job failed")
+
+        monkeypatch.setattr(layers, "_submit", lambda fn: submit(fail))
+        with pytest.raises(FloatingPointError, match="forward job failed"):
+            model.forward(x)
+        # the worker lives on, and the next forward runs and is right
+        monkeypatch.setattr(layers, "_submit", submit)
+        np.testing.assert_array_equal(model.forward(x), want)
+        assert [t.name for t in threading.enumerate()].count("lunet-grads") == 1
+
+    def test_join_runs_a_job_the_worker_has_not_started(self, monkeypatch):
+        # a forward does not wait behind a busy worker: its own job runs here
+        monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
+        release, ran_on = threading.Event(), []
+        busy = layers._submit(lambda: release.wait(timeout=60))
+        job = layers._submit(lambda: ran_on.append(threading.current_thread().name))
+        layers._join(job)
+        release.set()
+        layers._join(busy)
+        assert ran_on == [threading.current_thread().name]
 
     def test_many_queueing_threads_lose_no_update(self, monkeypatch):
         monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
@@ -161,23 +216,71 @@ class TestWorker:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "['MainThread']"
 
-    def test_inference_starts_no_thread(self, tmp_path):
+    def test_many_forwarding_threads_get_the_inline_bits(self, monkeypatch):
+        # each thread's forward hands jobs to the one worker or runs them
+        # itself at its join, in whatever interleaving the switches give;
+        # one-step LSTM blocks make a job per step
+        monkeypatch.setattr(layers, "INFER_BLOCK_BYTES", 1)
+        spec = LuNetSpec(input_features=40, num_classes=2, levels=(8, 16))
+        x = Rng(3).normal((9, 40))
+
+        def infer_model():
+            model = build(spec)
+            model.set_mode("infer")
+            return model
+
+        monkeypatch.setattr(layers, "QUEUE_PRODUCTS", False)
+        want = infer_model().forward(x)
+        monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
+        seen = []
+
+        def forwards():
+            model = infer_model()
+            seen.extend(np.array_equal(model.forward(x), want) for _ in range(20))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=forwards)
+                       for _ in range(2 * (os.cpu_count() or 1) + 2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 20 * len(threads) and all(seen)
+
+    @pytest.mark.parametrize("blas_threads, cpus, workers", [
+        pytest.param(1, "all", 1, id="blas1-all-cpus"),
+        pytest.param(2, "all", 0, id="blas2-all-cpus"),
+        pytest.param(1, "one", 0, id="blas1-one-cpu"),
+    ])
+    def test_inference_starts_a_thread_only_where_it_pays(self, tmp_path, blas_threads, cpus,
+                                                          workers):
+        if cpus == "one" and not hasattr(os, "sched_setaffinity"):
+            pytest.skip("cannot pin the process to one CPU here")
+        if cpus == "all" and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+            pytest.skip("needs a process that may run on 2 CPUs")
         ckpt = tmp_path / "model.lunet"
         argv = ["--dataset", "synthetic", "--levels", "4", "--seed", "2",
                 "--output-dir", str(tmp_path)]
         assert main(["train", *argv, "--epochs", "1", "--checkpoint", str(ckpt)]) == EXIT_OK
         proc = run_python(f"""
-            import threading
+            import os, threading
+            if {cpus!r} == "one":
+                os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
             import numpy as np
             from lunet.cli import main
             from lunet.model import LuNetSpec, build
             m = build(LuNetSpec(input_features=16, num_classes=2, levels=(4,)))
             m.predict_class(np.zeros((3, 16)))
             assert main(["evaluate", *{argv!r}, "--checkpoint", {str(ckpt)!r}]) == 0
-            print([t.name for t in threading.enumerate()])
-        """, blas_threads=1)
+            print(sorted(t.name for t in threading.enumerate()))
+        """, blas_threads=blas_threads)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "['MainThread']"
+        assert proc.stdout.splitlines()[-1] == str(["MainThread"] + ["lunet-grads"] * workers)
 
     def test_crossval_starts_one_thread(self, tmp_path):
         proc = run_python(f"""

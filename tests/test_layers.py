@@ -140,10 +140,13 @@ class TestMaxPool1D:
 
     @pytest.mark.parametrize("pool", [2, 3])
     def test_backward_from_one_byte_per_window(self, pool):
-        # the train-mode cache is each window's first argmax as a uint8;
-        # backward routes every upstream value to that element, NaN windows too
+        # the train-mode cache is each window's first argmax as a uint8, as
+        # np.argmax gives it: the first NaN in a window that holds one, the
+        # first of tied maxima (+0 and -0 too); backward routes every
+        # upstream value to that element
         rng = Rng(pool + 10)
         x = np.floor(rng.normal((4, 17, 5)) * 2)
+        x[rng.uniform((4, 17, 5)) < 0.2] = -0.0
         x[rng.uniform((4, 17, 5)) < 0.1] = np.nan
         layer = MaxPool1D(pool)
         layer.forward(x)
@@ -151,6 +154,7 @@ class TestMaxPool1D:
         assert layer._cache[1].dtype == np.uint8 and layer._cache[1].shape == (4, n, 5)
         up = rng.normal((4, n, 5))
         first = np.argmax(x[:, :n * pool].reshape(4, n, pool, 5), axis=2)
+        np.testing.assert_array_equal(layer._cache[1], first)
         want = np.zeros_like(x)
         for b, w, c in np.ndindex(4, n, 5):
             want[b, w * pool + first[b, w, c], c] = up[b, w, c]
