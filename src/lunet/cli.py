@@ -208,7 +208,8 @@ def make_spec(cfg: RunConfig, input_features: int, num_classes: int,
 # paper-width model ran at 509/592/614/582 rows/s in chunks of 256/128/64/32
 # (median of 9 interleaved passes, 2-core host, BLAS 1 thread). Smaller chunks
 # keep more of each layer's working set in cache until per-call overhead wins.
-# A row's probabilities do not depend on the chunk it runs in.
+# A row's probabilities are the same in any full chunk, but a shorter last
+# chunk can differ in the last bit (see the README).
 PREDICT_CHUNK = 64
 
 

@@ -5,7 +5,10 @@ Every layer exposes `backward(upstream)`, which returns the gradient w.r.t.
 the layer input and accumulates parameter gradients into `self.grads` (same
 keys and shapes as `self.params`). A train-mode forward keeps in `_cache` what
 backward needs; no layer builds backward state in infer mode, so there
-`_cache` is None and `backward` raises RuntimeError.
+`_cache` is None and `backward` raises RuntimeError. In infer mode `ReLU` and
+`BatchNorm` write their output into their input and `LSTM` writes its h(t)
+straight into its output; in both modes `Conv1D` adds its taps into its
+output through one buffer per block of batch rows (BLOCK_BYTES).
 
 Where BLAS runs one thread and a second CPU is there (QUEUE_PRODUCTS),
 `Conv1D` and `LSTM` hand independent products to one daemon thread
@@ -38,13 +41,15 @@ import numpy as np
 
 from .tensor import Rng, sigmoid
 
-# Bytes of LSTM gate pre-activations a forward makes per block of timesteps
-# (at least one step). Measured at the paper widths (Xeon with 2 MiB
-# of L2 per core, BLAS 1 thread): from 128 KiB to 2 MiB a 256-row forward's
-# traced peak is flat at 36.7 MiB, set by the level-0 conv activations, and
-# rows/s is flat within noise; at 4 MiB a 64-row forward's peak grows. 1 MiB
-# keeps a block in L2 from its input product to its step.
-INFER_BLOCK_BYTES = 1 << 20
+# Bytes a forward makes at a time for a block of its work: the LSTM gate
+# pre-activations of a block of timesteps (at least one step), and the
+# conv tap products of a block of batch rows (at least one row; half the
+# budget for each of the two threads that may split the rows). Measured
+# for the LSTM at the paper widths (Xeon with 2 MiB of L2 per core, BLAS 1
+# thread): from 128 KiB to 2 MiB a 256-row forward's rows/s is flat within
+# noise, and at 4 MiB a 64-row forward's peak grows. 1 MiB keeps a block in
+# L2 from its input product to its step.
+BLOCK_BYTES = 1 << 20
 
 BN_MOMENTUM = 0.99  # weight of the old value in a batch-norm running statistic
 
@@ -252,14 +257,21 @@ class Conv1D(Layer):
         # with one input channel a tap is an outer product: a broadcast multiply
         # gives the bits of the K=1 GEMM without its call overhead
         tap = np.multiply if self.c_in == 1 else np.matmul
+        block = max(1, BLOCK_BYTES // (2 * l_out * self.c_out * 8))
 
         def rows(lo, hi):
-            # matmul on the strided view makes one GEMM per batch row, so a
-            # row's bits do not depend on which rows share the call
-            o = out[lo:hi]
-            o[...] = self.params["bias"]
-            for j in range(self.m):
-                o += tap(x[lo:hi, j:j + l_out, :], taps[j])
+            # each tap is written into one buffer per block of rows and added
+            # into the output; matmul on the strided view makes one GEMM per
+            # batch row, so a row's bits do not depend on which rows share
+            # the call
+            buf = np.empty((min(block, hi - lo), l_out, self.c_out))
+            for r0 in range(lo, hi, block):
+                o = out[r0:min(r0 + block, hi)]
+                t = buf[:len(o)]
+                o[...] = self.params["bias"]
+                for j in range(self.m):
+                    tap(x[r0:r0 + len(o), j:j + l_out, :], taps[j], out=t)
+                    o += t
 
         job = _submit(partial(rows, b // 2, b))
         rows(0, b // 2)
@@ -288,11 +300,19 @@ class Conv1D(Layer):
 
 
 class ReLU(Layer):
+    """max(0, x). An infer-mode forward clips its input in place and returns
+    it, so a caller must not read that input afterwards; a train-mode
+    forward returns a new array."""
+
     def __init__(self, name: str = "relu"):
         super().__init__(name)
 
     def forward(self, x, mode="train"):
-        self._cache = x > 0 if mode == "train" else None
+        if mode != "train":
+            self._cache = None
+            # 0.0 first, as in train mode: it decides which zero -0.0 gives
+            return np.maximum(0.0, x, out=x)
+        self._cache = x > 0
         return np.maximum(0.0, x)
 
     def backward(self, upstream):
@@ -358,6 +378,9 @@ class BatchNorm(Layer):
     Accepts [batch, features] or [batch, length, features]; statistics reduce
     over every axis but the last. Running statistics follow
     running <- BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch_stat.
+    An infer-mode forward normalizes its input in place and returns it, so a
+    caller must not read that input afterwards; a train-mode forward returns
+    a new array.
     """
 
     def __init__(self, features: int, epsilon: float = 1e-5, name: str = "bn"):
@@ -385,11 +408,11 @@ class BatchNorm(Layer):
             var = x.var(axis=axes)  # population variance
             self.running_mean[...] = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mu
             self.running_var[...] = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
+            xhat = x - mu
         else:
-            mu = self.running_mean
             var = self.running_var
+            xhat = np.subtract(x, self.running_mean, out=x)
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        xhat = x - mu
         xhat *= inv_std
         if mode != "train":
             self._cache = None
@@ -424,8 +447,10 @@ class LSTM(Layer):
     makes one h @ W product and the input products are made for a block of
     timesteps at once. Gate activations and states are kept time-major
     ([length, batch, .]) between forward and backward. An infer-mode forward
-    holds two blocks of gate pre-activations (about INFER_BLOCK_BYTES each)
-    and one cell-state row besides its output.
+    writes each h(t) straight into its batch-major output. Besides that
+    output it holds two blocks of gate pre-activations (about BLOCK_BYTES
+    each), the input rows of the block being made, and a few [batch, cells]
+    rows: the zero h(-1), the cell state, a gate product and a step's h @ W.
     """
 
     def __init__(self, in_dim: int, cells: int, rng: Rng, name: str = "lstm"):
@@ -447,7 +472,7 @@ class LSTM(Layer):
         c, p = self.cells, self.params
         train = mode == "train"
         # Time-major, so each step reads and writes contiguous rows. The input
-        # products b + x(t) @ U are made a block of about INFER_BLOCK_BYTES
+        # products b + x(t) @ U are made a block of about BLOCK_BYTES
         # of timesteps at a time, each block's on the worker while the steps
         # of the block before it run here. A block's rows are overwritten at
         # their steps with the gate activations
@@ -456,7 +481,7 @@ class LSTM(Layer):
         # the full-length gates; infer alternates two block buffers. A
         # one-row product would go to GEMV and round differently, so one
         # sequence alone keeps a single block.
-        block = length if b == 1 else min(length, max(1, INFER_BLOCK_BYTES // (b * 4 * c * 8)))
+        block = length if b == 1 else min(length, max(1, BLOCK_BYTES // (b * 4 * c * 8)))
         gates = np.empty((length if train else min(length, 2 * block), b, 4 * c))
 
         def block_at(t0):
@@ -470,7 +495,14 @@ class LSTM(Layer):
             np.matmul(xt, p["U"], out=steps.reshape(-1, 4 * c))
             steps += p["b"]
 
-        hs = np.zeros((length + 1, b, c))  # hs[t] is h(t-1); hs[0] is the zero state
+        if train:
+            hs = np.zeros((length + 1, b, c))  # hs[t] is h(t-1); hs[0] is the zero state
+            h, h_rows = hs[0], hs[1:]
+        else:
+            # h(t) goes straight into out[:, t], and the next step's h @ W
+            # reads it there: a strided row rounds as a contiguous one
+            out = np.empty((b, length, c))
+            h, h_rows = np.zeros((b, c)), out.transpose(1, 0, 2)
         # train keeps every s(t) for backward; infer updates one row in place
         ss = np.zeros((length + 1 if train else 1, b, c))
         ig = np.empty((b, c))
@@ -478,20 +510,23 @@ class LSTM(Layer):
         for t0 in range(0, length, block):
             job = _submit(partial(products, t0 + block)) if t0 + block < length else None
             for t, z in enumerate(block_at(t0), start=t0):
-                z += hs[t] @ p["W"]
+                z += h @ p["W"]
                 i_g, g_g, f_q = z[:, :c], z[:, c:2 * c], z[:, 2 * c:]
                 sigmoid(i_g, out=i_g)
                 np.tanh(g_g, out=g_g)
                 sigmoid(f_q, out=f_q)
                 f_g, q_g = f_q[:, :c], f_q[:, c:]
-                s_prev, s, h = ss[t % len(ss)], ss[(t + 1) % len(ss)], hs[t + 1]
+                s_prev, s, h = ss[t % len(ss)], ss[(t + 1) % len(ss)], h_rows[t]
                 np.multiply(f_g, s_prev, out=s)
                 np.multiply(i_g, g_g, out=ig)
                 s += ig
                 np.tanh(s, out=h)
                 h *= q_g
             _join(job)
-        self._cache = (x, gates, hs, ss) if train else None
+        if not train:
+            self._cache = None
+            return out
+        self._cache = (x, gates, hs, ss)
         return np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
 
     def backward(self, upstream):

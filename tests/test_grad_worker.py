@@ -220,7 +220,7 @@ class TestWorker:
         # each thread's forward hands jobs to the one worker or runs them
         # itself at its join, in whatever interleaving the switches give;
         # one-step LSTM blocks make a job per step
-        monkeypatch.setattr(layers, "INFER_BLOCK_BYTES", 1)
+        monkeypatch.setattr(layers, "BLOCK_BYTES", 1)
         spec = LuNetSpec(input_features=40, num_classes=2, levels=(8, 16))
         x = Rng(3).normal((9, 40))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lunet import layers
 from lunet.layers import (LSTM, BatchNorm, Conv1D, Dense, Dropout,
                           GlobalAvgPool, MaxPool1D, ReLU)
 from lunet.tensor import Rng, sigmoid, softmax
@@ -94,6 +95,27 @@ class TestConv1D:
         np.testing.assert_array_equal(conv.backward(upstream), dx)
         np.testing.assert_array_equal(conv.grads["filters"], df)
         np.testing.assert_array_equal(conv.grads["bias"], db)
+
+    @pytest.mark.parametrize("queued", [False, True], ids=["inline", "queued"])
+    @pytest.mark.parametrize("length,c_in,c_out", PAPER_CONV_SHAPES[:2])
+    def test_forward_peak_is_its_output_and_a_tap_block(self, monkeypatch, queued,
+                                                        length, c_in, c_out):
+        # each thread adds its taps through one buffer of BLOCK_BYTES / 2,
+        # not an output-sized temporary per tap. Levels 0 and 1 make the
+        # largest outputs, 3.9 and 3.8 MB at batch 64; deeper convs keep a
+        # contiguous copy of their taps (0.8 and 1.6 MB) beside smaller ones
+        monkeypatch.setattr(layers, "QUEUE_PRODUCTS", queued)
+        conv = Conv1D(c_in, c_out, 3, Rng(1))
+        x = Rng(2).normal((64, length, c_in))
+        out_bytes = 64 * (length - 2) * c_out * 8
+        for mode in ("infer", "train"):
+            tracemalloc.start()
+            try:
+                conv.forward(x, mode=mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * out_bytes, f"{mode}: peak {peak / out_bytes:.3f}x its output"
 
 
 class TestMaxPool1D:
@@ -202,7 +224,7 @@ class TestBatchNorm:
         x = Rng(5).normal((16, 2), 1.0, 2.0)
         for _ in range(800):
             bn.forward(x)
-        infer_out = bn.forward(x, mode="infer")
+        infer_out = bn.forward(x.copy(), mode="infer")  # normalizes its input in place
         train_out = bn.forward(x, mode="train")
         np.testing.assert_allclose(infer_out, train_out, atol=1e-2)
         # single row is fine in infer mode

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from golden_infer import infer_model
 from lunet import LuNetSpec, build, layers
 from lunet.tensor import Rng, softmax
 
@@ -114,7 +117,7 @@ class TestForward:
         chunks = np.vstack([model.forward(x[i:i + 64]) for i in range(0, 256, 64)])
         np.testing.assert_array_equal(model.forward(x), chunks)
 
-    @pytest.mark.parametrize("block_bytes", [1, layers.INFER_BLOCK_BYTES])
+    @pytest.mark.parametrize("block_bytes", [1, layers.BLOCK_BYTES])
     @pytest.mark.parametrize("chunk", [1, 37, 64, 256])
     def test_paper_width_probs_do_not_depend_on_time_blocks(self, monkeypatch, block_bytes,
                                                             chunk):
@@ -133,10 +136,37 @@ class TestForward:
         def chunked():
             return np.vstack([model.forward(x[i:i + chunk]) for i in range(0, 256, chunk)])
 
-        monkeypatch.setattr(layers, "INFER_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(layers, "BLOCK_BYTES", block_bytes)
         blocks = chunked()
-        monkeypatch.setattr(layers, "INFER_BLOCK_BYTES", 1 << 62)
+        monkeypatch.setattr(layers, "BLOCK_BYTES", 1 << 62)
         np.testing.assert_array_equal(blocks, chunked())
+
+    @pytest.mark.parametrize("classes", [2, 5])
+    @pytest.mark.parametrize("batch", [1, 37, 256])
+    def test_infer_forward_leaves_the_input_unchanged(self, classes, batch):
+        # infer-mode ReLU and BatchNorm write into their inputs, which must
+        # be the fresh outputs of the layers before them, never the caller's
+        x = Rng(batch).normal((batch, 122))
+        before = x.tobytes()
+        infer_model(classes).forward(x)
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("queued", [False, True], ids=["inline", "queued"])
+    def test_paper_width_infer_peak_stays_near_the_largest_activation(
+            self, monkeypatch, queued):
+        # a 256-row forward's largest activation is the level-0 conv output,
+        # [256, 120, 64] float64; the max pool reads it while writing its
+        # half-sized output, so no forward can peak below 1.5x of it
+        monkeypatch.setattr(layers, "QUEUE_PRODUCTS", queued)
+        model, x = infer_model(2), Rng(12).normal((256, 122))
+        conv0_out = 256 * 120 * 64 * 8
+        tracemalloc.start()
+        try:
+            model.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.7 * conv0_out, f"peak {peak / conv0_out:.3f}x the level-0 conv output"
 
     def test_wrong_feature_count(self, model):
         with pytest.raises(ValueError):
