@@ -19,7 +19,6 @@ import numpy as np
 
 from . import model as model_mod
 from .binio import Reader, write_block, write_tensor
-from .layers import LSTM
 from .model import LuNetModel, LuNetSpec
 
 MAGIC = b"LUNET1\0"
@@ -28,6 +27,14 @@ VERSION = 2
 
 class CheckpointError(Exception):
     pass
+
+
+class _Undrawn:
+    """Stands in for `build`'s Rng when stored tensors replace every weight:
+    it leaves each one unwritten instead of drawing it."""
+
+    def normal(self, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+        return np.empty(shape)
 
 
 def save_checkpoint(path, model: LuNetModel, mean: np.ndarray, std: np.ndarray,
@@ -52,8 +59,11 @@ def save_checkpoint(path, model: LuNetModel, mean: np.ndarray, std: np.ndarray,
 def load_checkpoint(path):
     """Returns (model, mean, std, class_names, encoded_columns, task).
 
-    The rebuilt model reproduces infer-mode outputs of the saved one bitwise.
-    Any unreadable, truncated or inconsistent file raises CheckpointError.
+    Every stored tensor's shape is checked against the shapes the spec
+    implies before any layer is built; the layers are then built around the
+    stored tensors, drawing no weight. The rebuilt model reproduces
+    infer-mode outputs of the saved one bitwise. Any unreadable, truncated
+    or inconsistent file raises CheckpointError.
     """
     try:
         with open(path, "rb") as fh:
@@ -76,10 +86,10 @@ def load_checkpoint(path):
     if r.pos != len(r.blob):
         raise r.error(f"{len(r.blob) - r.pos} trailing bytes after the last tensor")
     try:
-        model = model_mod.build(LuNetSpec.from_mapping(spec_map))
-    except (KeyError, ValueError, MemoryError) as e:
+        spec = LuNetSpec.from_mapping(spec_map)
+        shapes = model_mod.tensor_shapes(spec)
+    except (KeyError, ValueError) as e:
         raise r.error(f"unbuildable model spec: {type(e).__name__}: {e}", spec_at) from None
-    spec = model.spec
     try:
         task = meta["task"]
         class_names = meta["class_names"].split("|")
@@ -101,14 +111,17 @@ def load_checkpoint(path):
 
     mean = stored("standardize.mean", (spec.input_features,))
     std = stored("standardize.std", (spec.input_features,))
-    for name, layer, pname, value in model.named_params():
-        if version == 1 and isinstance(layer, LSTM):
-            gate_shape = value.shape[:-1] + (layer.cells,)
-            layer.params[pname] = np.concatenate(
-                [stored(f"{name}_{gate}", gate_shape) for gate in "pgfq"], axis=-1)
-        else:
-            layer.params[pname] = stored(name, value.shape)
+    if version == 1:
+        for name, shape in shapes.items():
+            if name.rsplit(".", 2)[1] == "lstm":
+                gate_shape = shape[:-1] + (shape[-1] // 4,)
+                tensors[name] = np.concatenate(
+                    [stored(f"{name}_{gate}", gate_shape) for gate in "pgfq"], axis=-1)
+    values = {name: stored(name, shape) for name, shape in shapes.items()}
+    model = model_mod.build(spec, init_rng=_Undrawn())
+    for name, layer, pname, _ in model.named_params():
+        layer.params[pname] = values[name]
     for name, value in model.named_state():
-        value[...] = stored(name, value.shape)
+        value[...] = values[name]
     model.set_mode("infer")
     return model, mean, std, class_names, encoded_columns, task

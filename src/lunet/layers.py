@@ -3,12 +3,14 @@ LSTM, dropout, global average pooling and dense.
 
 Every layer exposes `backward(upstream)`, which returns the gradient w.r.t.
 the layer input and accumulates parameter gradients into `self.grads` (same
-keys and shapes as `self.params`). A train-mode forward keeps in `_cache` what
-backward needs; no layer builds backward state in infer mode, so there
-`_cache` is None and `backward` raises RuntimeError. In infer mode `ReLU` and
-`BatchNorm` write their output into their input and `LSTM` writes its h(t)
-straight into its output; in both modes `Conv1D` adds its taps into its
-output through one buffer per block of batch rows (BLOCK_BYTES).
+keys and shapes as `self.params`; each accumulator is made, zeroed, at its
+first read, so a layer that never runs backward holds none). A train-mode
+forward keeps in `_cache` what backward needs; no layer builds backward
+state in infer mode, so there `_cache` is None and `backward` raises
+RuntimeError. In infer mode `ReLU` and `BatchNorm` write their output into
+their input and `LSTM` writes its h(t) straight into its output; in both
+modes `Conv1D` adds its taps into its output through one buffer per block of
+batch rows (BLOCK_BYTES).
 
 Where BLAS runs one thread and a second CPU is there (QUEUE_PRODUCTS),
 `Conv1D` and `LSTM` hand independent products to one daemon thread
@@ -172,20 +174,35 @@ def _join(job: _Job | None):
             raise job.error
 
 
+class _Grads(dict):
+    """Gradient accumulators by parameter name: reading one that is not there
+    yet makes it, zeroed, in its parameter's shape."""
+
+    def __init__(self, params: dict[str, np.ndarray]):
+        super().__init__()
+        self.params = params
+
+    def __missing__(self, pname: str) -> np.ndarray:
+        g = self[pname] = np.zeros(self.params[pname].shape)
+        return g
+
+
 class Layer:
-    """Base: named parameter map plus a same-shaped gradient accumulator map."""
+    """Base: named parameter map plus a same-shaped gradient accumulator map
+    whose accumulators appear, zeroed, at their first read."""
 
     def __init__(self, name: str = ""):
         self.name = name or self.__class__.__name__.lower()
         self.params: dict[str, np.ndarray] = {}
-        self._grads: dict[str, np.ndarray] = {}
+        self._grads = _Grads(self.params)
         self._jobs: list[_Job] = []
         self._cache = None
 
     @property
     def grads(self) -> dict[str, np.ndarray]:
         """The gradient accumulators, once every job this layer queued is
-        done; the first exception such a job raised is raised here."""
+        done; the first exception such a job raised is raised here. An
+        accumulator nothing has read yet is made, zeroed, when read."""
         jobs, self._jobs = self._jobs, []
         for job in jobs:
             job.done.wait()
@@ -205,10 +222,9 @@ class Layer:
         if pname in self.params:
             raise ValueError(f"duplicate parameter name {pname!r} in {self.name}")
         self.params[pname] = value
-        # calloc'd: a model that never trains never touches these pages
-        self._grads[pname] = np.zeros(value.shape)
 
     def zero_grads(self):
+        """Zero the accumulators made so far; the others read as zeros."""
         for g in self.grads.values():
             g[...] = 0.0
 

@@ -126,12 +126,10 @@ class LuNetModel:
             layer.zero_grads()
 
 
-def build(spec: LuNetSpec) -> LuNetModel:
-    """Instantiate the layer stack; fail, naming the level, where the input
-    length runs out."""
-    init_rng = Rng(spec.init_seed)
-    drop_rng = Rng(spec.init_seed + 1)
-    layers: list[Layer] = []
+def _levels(spec: LuNetSpec):
+    """Yield (tag, input channels, width) of each level by walking the input
+    length through its conv and pool, then check that the head conv still
+    fits; raise ValueError, naming the level, where the length runs out."""
     length, channels = spec.input_features, 1
     for k, width in enumerate(spec.levels):
         tag = f"level{k}"
@@ -140,24 +138,54 @@ def build(spec: LuNetSpec) -> LuNetModel:
                 f"input length exhausted at {tag}: conv needs length >= "
                 f"{spec.kernel_size}, have {length}")
         length = length - spec.kernel_size + 1
-        layers += [Conv1D(channels, width, spec.kernel_size, init_rng, name=f"{tag}.conv"),
-                   ReLU(name=f"{tag}.relu")]
         if length < spec.pool_size:
             raise ValueError(
                 f"input length exhausted at {tag}: pool needs length >= "
                 f"{spec.pool_size}, have {length}")
         length = length // spec.pool_size
-        layers += [MaxPool1D(spec.pool_size, name=f"{tag}.pool"),
-                   BatchNorm(width, name=f"{tag}.bn"),
-                   LSTM(width, width, init_rng, name=f"{tag}.lstm")]
+        yield tag, channels, width
         channels = width
-
-    layers.append(Dropout(spec.dropout_rate, drop_rng, name="head.dropout"))
     if length < spec.kernel_size:
         raise ValueError(
             f"input length exhausted at head conv: needs length >= "
             f"{spec.kernel_size}, have {length}")
-    layers += [Conv1D(channels, spec.final_conv_filters, spec.kernel_size, init_rng,
+
+
+def tensor_shapes(spec: LuNetSpec) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter and batch-norm statistic `build(spec)`
+    makes, by name, from the length walk alone: nothing is allocated."""
+    k, channels, shapes = spec.kernel_size, 1, {}
+    for tag, c_in, width in _levels(spec):
+        shapes[f"{tag}.conv.filters"] = (width, c_in, k)
+        for name in ("conv.bias", "bn.gamma", "bn.beta", "bn.running_mean", "bn.running_var"):
+            shapes[f"{tag}.{name}"] = (width,)
+        shapes[f"{tag}.lstm.U"] = shapes[f"{tag}.lstm.W"] = (width, 4 * width)
+        shapes[f"{tag}.lstm.b"] = (4 * width,)
+        channels = width
+    f, classes = spec.final_conv_filters, spec.num_classes
+    shapes.update({"head.conv.filters": (f, channels, k), "head.conv.bias": (f,),
+                   "head.dense.W": (f, classes), "head.dense.b": (classes,)})
+    return shapes
+
+
+def build(spec: LuNetSpec, init_rng=None) -> LuNetModel:
+    """Instantiate the layer stack, drawing its weights from `init_rng`
+    (`Rng(spec.init_seed)` by default, or anything with its `normal`); fail,
+    naming the level, where the input length runs out."""
+    init_rng = Rng(spec.init_seed) if init_rng is None else init_rng
+    drop_rng = Rng(spec.init_seed + 1)
+    layers: list[Layer] = []
+    channels = 1
+    for tag, c_in, width in _levels(spec):
+        layers += [Conv1D(c_in, width, spec.kernel_size, init_rng, name=f"{tag}.conv"),
+                   ReLU(name=f"{tag}.relu"),
+                   MaxPool1D(spec.pool_size, name=f"{tag}.pool"),
+                   BatchNorm(width, name=f"{tag}.bn"),
+                   LSTM(width, width, init_rng, name=f"{tag}.lstm")]
+        channels = width
+
+    layers += [Dropout(spec.dropout_rate, drop_rng, name="head.dropout"),
+               Conv1D(channels, spec.final_conv_filters, spec.kernel_size, init_rng,
                       name="head.conv"),
                ReLU(name="head.relu"),
                GlobalAvgPool(name="head.gap"),

@@ -82,7 +82,9 @@ class RmsProp:
         lr = self.config.learning_rate
         for name, layer, pname, value in model.named_params():
             g = layer.grads[pname]
-            acc = self._acc.setdefault(name, np.zeros_like(value))
+            acc = self._acc.get(name)
+            if acc is None:
+                acc = self._acc[name] = np.zeros_like(value)
             # in place, in the operation order of the formula above, so the
             # results are bitwise those of the plain expression
             upd = (1.0 - RHO) * g
