@@ -130,8 +130,8 @@ def _levels(spec: LuNetSpec):
     """Yield (tag, input channels, width) of each level by walking the input
     length through its conv and pool, then check that the head conv still
     fits; raise ValueError, naming the level, where the length runs out."""
-    length, channels = spec.input_features, 1
-    for k, width in enumerate(spec.levels):
+    length = spec.input_features
+    for k, (c_in, width) in enumerate(zip((1,) + spec.levels, spec.levels)):
         tag = f"level{k}"
         if length < spec.kernel_size:
             raise ValueError(
@@ -143,8 +143,7 @@ def _levels(spec: LuNetSpec):
                 f"input length exhausted at {tag}: pool needs length >= "
                 f"{spec.pool_size}, have {length}")
         length = length // spec.pool_size
-        yield tag, channels, width
-        channels = width
+        yield tag, c_in, width
     if length < spec.kernel_size:
         raise ValueError(
             f"input length exhausted at head conv: needs length >= "
@@ -154,16 +153,15 @@ def _levels(spec: LuNetSpec):
 def tensor_shapes(spec: LuNetSpec) -> dict[str, tuple[int, ...]]:
     """The shape of every parameter and batch-norm statistic `build(spec)`
     makes, by name, from the length walk alone: nothing is allocated."""
-    k, channels, shapes = spec.kernel_size, 1, {}
+    k, shapes = spec.kernel_size, {}
     for tag, c_in, width in _levels(spec):
         shapes[f"{tag}.conv.filters"] = (width, c_in, k)
         for name in ("conv.bias", "bn.gamma", "bn.beta", "bn.running_mean", "bn.running_var"):
             shapes[f"{tag}.{name}"] = (width,)
         shapes[f"{tag}.lstm.U"] = shapes[f"{tag}.lstm.W"] = (width, 4 * width)
         shapes[f"{tag}.lstm.b"] = (4 * width,)
-        channels = width
     f, classes = spec.final_conv_filters, spec.num_classes
-    shapes.update({"head.conv.filters": (f, channels, k), "head.conv.bias": (f,),
+    shapes.update({"head.conv.filters": (f, spec.levels[-1], k), "head.conv.bias": (f,),
                    "head.dense.W": (f, classes), "head.dense.b": (classes,)})
     return shapes
 
@@ -175,17 +173,14 @@ def build(spec: LuNetSpec, init_rng=None) -> LuNetModel:
     init_rng = Rng(spec.init_seed) if init_rng is None else init_rng
     drop_rng = Rng(spec.init_seed + 1)
     layers: list[Layer] = []
-    channels = 1
     for tag, c_in, width in _levels(spec):
         layers += [Conv1D(c_in, width, spec.kernel_size, init_rng, name=f"{tag}.conv"),
                    ReLU(name=f"{tag}.relu"),
                    MaxPool1D(spec.pool_size, name=f"{tag}.pool"),
                    BatchNorm(width, name=f"{tag}.bn"),
                    LSTM(width, width, init_rng, name=f"{tag}.lstm")]
-        channels = width
-
     layers += [Dropout(spec.dropout_rate, drop_rng, name="head.dropout"),
-               Conv1D(channels, spec.final_conv_filters, spec.kernel_size, init_rng,
+               Conv1D(spec.levels[-1], spec.final_conv_filters, spec.kernel_size, init_rng,
                       name="head.conv"),
                ReLU(name="head.relu"),
                GlobalAvgPool(name="head.gap"),
