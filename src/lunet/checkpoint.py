@@ -3,12 +3,16 @@ running statistics, and the standardization constants needed for evaluation.
 
 Layout (all integers and floats little-endian):
   magic "LUNET1\\0" | u32 version | spec key=value block | meta key=value block
-  | u32 tensor count | tensors (u16 name len, name, u8 rank, u32 dims, f64 data)
+  (the task) | class names | encoded column names | u32 tensor count | tensors
+  (u16 name len, name, u8 rank, u32 dims, f64 data)
 
-Version 2 stores each LSTM as gate-stacked `levelK.lstm.U`, `.W` and `.b`
-with the gates as column blocks p|g|f|q. Version 1 stored one tensor per
-gate (`levelK.lstm.U_p`, ..., `.b_q`); it still loads, and the loader stacks
-the four gate tensors in p|g|f|q order.
+The two name lists are binio string lists, so a name may hold any character.
+Versions 1 and 2 joined each list with "|" into the meta block, so a name
+holding "|" or a newline did not survive; they still load. Versions 2 and 3
+store each LSTM as gate-stacked `levelK.lstm.U`, `.W` and `.b` with the gates
+as column blocks p|g|f|q. Version 1 stored one tensor per gate
+(`levelK.lstm.U_p`, ..., `.b_q`); the loader stacks the four gate tensors in
+p|g|f|q order.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ import struct
 import numpy as np
 
 from . import model as model_mod
-from .binio import Reader, write_block, write_tensor
+from .binio import Reader, write_block, write_strings, write_tensor
 from .model import LuNetModel, LuNetSpec
 
 MAGIC = b"LUNET1\0"
-VERSION = 2
+VERSION = 3
 
 
 class CheckpointError(Exception):
@@ -46,11 +50,9 @@ def save_checkpoint(path, model: LuNetModel, mean: np.ndarray, std: np.ndarray,
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         write_block(fh, model.spec.to_mapping())
-        write_block(fh, {
-            "task": task,
-            "class_names": "|".join(class_names),
-            "encoded_columns": "|".join(encoded_columns),
-        })
+        write_block(fh, {"task": task})
+        write_strings(fh, class_names)
+        write_strings(fh, encoded_columns)
         fh.write(struct.pack("<I", len(tensors)))
         for name, value in tensors:
             write_tensor(fh, name, value)
@@ -74,12 +76,15 @@ def load_checkpoint(path):
         raise r.error("bad checkpoint magic")
     r.take(len(MAGIC))
     (version,) = r.unpack("<I")
-    if version not in (1, VERSION):
+    if version not in (1, 2, VERSION):
         raise r.error(f"unsupported checkpoint version {version}", len(MAGIC))
     spec_at = r.pos
     spec_map = r.block()
     meta_at = r.pos
     meta = r.block()
+    names_at = r.pos if version >= 3 else meta_at
+    if version >= 3:
+        class_names, encoded_columns = r.strings(), r.strings()
     tensors_at = r.pos
     (count,) = r.unpack("<I")
     tensors = dict(r.tensor() for _ in range(count))
@@ -92,14 +97,18 @@ def load_checkpoint(path):
         raise r.error(f"unbuildable model spec: {type(e).__name__}: {e}", spec_at) from None
     try:
         task = meta["task"]
-        class_names = meta["class_names"].split("|")
-        encoded_columns = meta["encoded_columns"].split("|") if meta["encoded_columns"] else []
+        if version < 3:
+            class_names = meta["class_names"].split("|")
+            encoded_columns = meta["encoded_columns"].split("|") if meta["encoded_columns"] else []
     except KeyError as e:
         raise r.error(f"missing metadata key {e}", meta_at) from None
     if task not in ("binary", "multi"):
         raise r.error(f"unknown task {task!r}", meta_at)
     if len(class_names) != spec.num_classes:
-        raise r.error(f"{len(class_names)} class names for {spec.num_classes} classes", meta_at)
+        raise r.error(f"{len(class_names)} class names for {spec.num_classes} classes", names_at)
+    if len(encoded_columns) != spec.input_features:
+        raise r.error(f"{len(encoded_columns)} encoded column names for "
+                      f"{spec.input_features} input features", names_at)
 
     def stored(name: str, shape: tuple) -> np.ndarray:
         if name not in tensors:

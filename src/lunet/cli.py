@@ -324,6 +324,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         if want != got:
             raise DataError(f"encoded column {i} is {got!r}, but the checkpoint was "
                             f"trained with {want!r} there")
+    if class_names != table.class_names:
+        raise DataError(f"the data's classes are {table.class_names}, but the checkpoint "
+                        f"was trained with {class_names}")
     # standardization always comes from the checkpoint, never re-fit
     x = apply_standardization(table.features, mean, std)
     pred = predict_batched(model, x)

@@ -13,9 +13,10 @@ modes `Conv1D` adds its taps into its output through one buffer per block of
 batch rows (BLOCK_BYTES).
 
 Where BLAS runs one thread and a second CPU is there (QUEUE_PRODUCTS),
-`Conv1D` and `LSTM` hand independent products to one daemon thread
-("lunet-grads", started by the first such layer call in a process, and kept
-off the CPU of the thread that hands them over), in both modes:
+`Conv1D` and `LSTM` hand independent products to one worker thread
+("lunet-grads", a one-thread ThreadPoolExecutor made by the first such layer
+call in a process, which keeps itself off the CPU of the thread that hands
+them over), in both modes:
 - `Conv1D.forward` computes the second half of the batch rows there while
   the calling thread computes the first half, and waits for it;
 - `LSTM.forward` makes the input products of the next block of timesteps
@@ -28,14 +29,15 @@ off the CPU of the thread that hands them over), in both modes:
   caller must not write into either until it has read `grads`.
 Each product keeps the shape, operands and accumulation order it has inline,
 so every output and gradient is bitwise that of a single-threaded pass. A
-forward waits for its own products, or makes one itself that the worker has
-not started, and raises any exception they raised.
+forward waits for its own products, or cancels one the worker has not
+started and makes it itself, and raises any exception they raised. The
+thread is not a daemon: interpreter exit lets it finish what it holds and
+joins it.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import threading
 from functools import partial
 
@@ -70,27 +72,9 @@ def _queue_pays() -> bool:
 QUEUE_PRODUCTS = _queue_pays()
 
 
-class _Job:
-    """A computation queued on the worker and how it ended."""
-
-    def __init__(self, fn):
-        self.fn, self.error, self.done = fn, None, threading.Event()
-        self._taken = threading.Lock()
-
-    def run(self):
-        """Run the job on this thread, unless another thread has taken it."""
-        if not self._taken.acquire(blocking=False):
-            return
-        try:
-            self.fn()
-        except Exception as e:  # raised again where the job is waited for
-            self.error = e
-        self.fn = None  # let go of the operands
-        self.done.set()
-
-
 class _GradWorker:
-    """The daemon thread that runs queued jobs one at a time, in queue order.
+    """The process's one worker thread, "lunet-grads": a one-thread
+    ThreadPoolExecutor, which runs jobs one at a time, in submit order.
 
     A job only reads arrays that nothing writes until it is done, and writes
     only where nothing reads until then: a forward job into rows or a block
@@ -100,31 +84,30 @@ class _GradWorker:
     wrappers that time those from one thread never see this one."""
 
     def __init__(self):
+        # here: at module level it puts `logging` in every `import lunet` (4-12 ms)
+        from concurrent.futures import ThreadPoolExecutor
+
         self.pid = os.getpid()
-        self.jobs: queue.SimpleQueue[_Job] = queue.SimpleQueue()
         # the CPUs the process may run on; empty where threads cannot be pinned
         self.cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
-        self.avoided: int | None = None
-        self.thread = threading.Thread(target=self._run, name="lunet-grads", daemon=True)
-        self.thread.start()
+        self.avoided: int | None = None  # read and written on the worker only
+        # named here, as thread_name_prefix would append "_0"
+        self.pool = ThreadPoolExecutor(1, initializer=lambda: setattr(
+            threading.current_thread(), "name", "lunet-grads"))
 
-    def keep_off(self, cpu: int | None):
-        """Let the worker run on any of the process's CPUs but `cpu`, the one
-        the thread queueing jobs is on. Left to itself, a kernel may wake the
-        worker on its waker's CPU every time, so that the two threads share
-        one core while another idles: on a 2-vCPU VM, where an idle vCPU
-        reads as preempted, they shared one in every sample taken."""
-        if cpu is None or cpu == self.avoided or len(self.cpus) < 2:
-            return
-        self.avoided = cpu
-        try:
-            os.sched_setaffinity(self.thread.native_id, self.cpus - {cpu})
-        except OSError:  # the process's CPUs changed since; leave it be
-            pass
-
-    def _run(self):
-        while True:
-            self.jobs.get().run()
+    def run_kept_off(self, cpu: int | None, fn):
+        """Run `fn` on the worker, after letting it run on any of the process's
+        CPUs but `cpu`, the one that submitted the job. Left to itself, a
+        kernel may wake the worker on its waker's CPU every time, so that the
+        two share one core while another idles: on a 2-vCPU VM they shared one
+        in every sample taken."""
+        if cpu is not None and cpu != self.avoided and len(self.cpus) >= 2:
+            self.avoided = cpu
+            try:
+                os.sched_setaffinity(0, self.cpus - {cpu})
+            except OSError:  # the process's CPUs changed since; leave it be
+                pass
+        fn()
 
 
 def _current_cpu() -> int | None:
@@ -151,27 +134,26 @@ def _worker() -> _GradWorker:
         return _grad_worker
 
 
-def _submit(fn) -> _Job | None:
-    """Start `fn` on the worker and return its job, or run it here and return
-    None where the worker cannot pay (QUEUE_PRODUCTS)."""
+def _submit(fn) -> tuple | None:
+    """Start `fn` on the worker and return its future with `fn`, or run it
+    here and return None where the worker cannot pay (QUEUE_PRODUCTS)."""
     if not QUEUE_PRODUCTS:
         fn()
         return None
-    job = _Job(fn)
     worker = _worker()
-    worker.keep_off(_current_cpu())
-    worker.jobs.put(job)
-    return job
+    return worker.pool.submit(worker.run_kept_off, _current_cpu(), fn), fn
 
 
-def _join(job: _Job | None):
+def _join(job: tuple | None):
     """Wait for a job `_submit` returned, or run it here if the worker has not
-    started it; raise the exception it raised."""
+    started it; raise the exception it raised. A future that cancels was not
+    started, and the worker skips it, so exactly one thread runs the job."""
     if job is not None:
-        job.run()
-        job.done.wait()
-        if job.error is not None:
-            raise job.error
+        future, fn = job
+        if future.cancel():
+            fn()
+        else:
+            future.result()
 
 
 class _Grads(dict):
@@ -195,7 +177,7 @@ class Layer:
         self.name = name or self.__class__.__name__.lower()
         self.params: dict[str, np.ndarray] = {}
         self._grads = _Grads(self.params)
-        self._jobs: list[_Job] = []
+        self._jobs: list = []  # futures of the products `_defer` queued
         self._cache = None
 
     @property
@@ -204,11 +186,9 @@ class Layer:
         done; the first exception such a job raised is raised here. An
         accumulator nothing has read yet is made, zeroed, when read."""
         jobs, self._jobs = self._jobs, []
-        for job in jobs:
-            job.done.wait()
-        for job in jobs:
-            if job.error is not None:
-                raise job.error
+        for error in [f.exception() for f in jobs]:
+            if error is not None:
+                raise error
         return self._grads
 
     def _defer(self, fn):
@@ -216,7 +196,7 @@ class Layer:
         where the worker cannot pay; `grads` waits for it."""
         job = _submit(fn)
         if job is not None:
-            self._jobs.append(job)
+            self._jobs.append(job[0])
 
     def add_param(self, pname: str, value: np.ndarray):
         if pname in self.params:

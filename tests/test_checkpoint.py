@@ -17,6 +17,9 @@ from lunet.train import RmsProp, TrainConfig, train_epoch
 # init_seed=3), with its infer-mode outputs on Rng(4).normal((5, 32)).
 V1_CHECKPOINT = Path(__file__).resolve().parent / "data" / "checkpoint_v1.lunet"
 V1_PROBS = V1_CHECKPOINT.with_name("checkpoint_v1_probs.npy")
+# A version-2 checkpoint (names joined with "|" into the meta block) of the
+# `trained_model` fixture's model, saved as `save_default` saves it.
+V2_CHECKPOINT = V1_CHECKPOINT.with_name("checkpoint_v2.lunet")
 
 
 @pytest.fixture()
@@ -98,6 +101,29 @@ class TestVersion1:
         np.testing.assert_array_equal(reloaded.forward(x), model.forward(x))
 
 
+class TestVersion2:
+    def test_loads_with_bitwise_identical_outputs(self, trained_model):
+        model, x = trained_model
+        assert V2_CHECKPOINT.read_bytes()[len(MAGIC):len(MAGIC) + 4] == struct.pack("<I", 2)
+        loaded, mean, std, class_names, cols, task = load_checkpoint(V2_CHECKPOINT)
+        np.testing.assert_array_equal(loaded.forward(x), model.forward(x))
+        assert class_names == ["a", "b", "c"]
+        assert cols == [f"col{i}" for i in range(16)] and task == "multi"
+
+
+class TestNames:
+    def test_any_character_survives(self, tmp_path, trained_model):
+        # "|" joined the names in versions 1 and 2, and a newline ended the
+        # meta block's line
+        model, _ = trained_model
+        names = ["a|b", "line\nbreak", "k=v"]
+        cols = [f"service=svc|{i}" for i in range(15)] + ["flag=\r\né"]
+        path = tmp_path / "m.lunet"
+        save_checkpoint(path, model, np.zeros(16), np.ones(16), names, cols, "multi")
+        _, _, _, got_names, got_cols, _ = load_checkpoint(path)
+        assert got_names == names and got_cols == cols
+
+
 class TestErrors:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.lunet"
@@ -144,6 +170,15 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="2 class names for 3 classes"):
             load_checkpoint(path)
 
+    def test_encoded_column_count_checked(self, tmp_path, trained_model):
+        model, _ = trained_model
+        path = tmp_path / "m.lunet"
+        save_checkpoint(path, model, np.zeros(16), np.ones(16), ["a", "b", "c"],
+                        [f"col{i}" for i in range(32)], "multi")
+        with pytest.raises(CheckpointError,
+                           match="32 encoded column names for 16 input features"):
+            load_checkpoint(path)
+
 
 @pytest.fixture(scope="module")
 def valid_blob(tmp_path_factory):
@@ -158,8 +193,9 @@ def valid_blob(tmp_path_factory):
 @given(data=st.data())
 def test_corrupt_checkpoint_loads_or_raises_checkpoint_error(valid_blob, tmp_path_factory,
                                                              data):
-    source = data.draw(st.sampled_from([valid_blob, V1_CHECKPOINT.read_bytes()]),
-                       label="current or version-1 file")
+    source = data.draw(st.sampled_from([valid_blob, V1_CHECKPOINT.read_bytes(),
+                                        V2_CHECKPOINT.read_bytes()]),
+                       label="current, version-1 or version-2 file")
     n = len(source)
     if data.draw(st.booleans(), label="truncate"):
         blob = source[:data.draw(st.integers(0, n - 1), label="length")]

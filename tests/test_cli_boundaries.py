@@ -1,8 +1,10 @@
 """Command line boundaries: the settings table, bad train, float and synthetic
-settings, output paths that cannot be made, mismatched evaluation columns,
-non-finite, non-UTF-8 or oversized CSV cells, corrupt checkpoints and
-non-finite parameters each end in their documented exit code."""
+settings, output paths that cannot be made, mismatched evaluation columns or
+classes, non-finite, non-UTF-8 or oversized CSV cells, corrupt or
+inconsistent checkpoints and non-finite parameters each end in their
+documented exit code."""
 
+import csv
 from dataclasses import fields
 
 import numpy as np
@@ -12,15 +14,18 @@ from hypothesis import strategies as st
 
 from lunet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, ConfigError,
                        RunConfig, build_run_config, main, make_parser, parse_config_file)
-from lunet.model import LuNetModel
+from lunet.checkpoint import save_checkpoint
+from lunet.model import LuNetModel, LuNetSpec, build
 
 
 def write_nsl(path, services):
-    """Twelve NSL-KDD rows, half normal and half neptune, cycling `services`."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Twelve NSL-KDD rows, half normal and half neptune, cycling `services`
+    (the csv module quotes a cell that needs it)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
         for i in range(12):
             cells = [str(i), "tcp", services[i % len(services)], "SF"] + ["0"] * 37
-            fh.write(",".join(cells + ["normal" if i % 2 else "neptune", "20"]) + "\n")
+            out.writerow(cells + ["normal" if i % 2 else "neptune", "20"])
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +57,45 @@ def test_evaluate_rejects_shifted_columns_of_equal_width(nsl_run, capsys):
     assert evaluate(nsl_run, "http_smtp.csv") == EXIT_DATA
     err = capsys.readouterr().err
     assert "'service=http'" in err and "'service=ftp'" in err
+
+
+@pytest.mark.parametrize("service", ["svc|odd", "line\nbreak"])
+def test_evaluate_of_the_training_csv_with_any_category_name(tmp_path, service):
+    # checkpoints before version 3 joined the encoded column names with "|"
+    # into a line of text, so such a name came back split
+    write_nsl(tmp_path / "odd.csv", [service, service, "http", "http"])
+    argv = ["--dataset", "nsl-kdd", "--levels", "4", "--epochs", "1", "--batch-size", "4",
+            "--data-path", str(tmp_path / "odd.csv"), "--checkpoint", str(tmp_path / "m.lunet")]
+    assert main(["train", *argv, "--output-dir", str(tmp_path / "train")]) == EXIT_OK
+    assert main(["evaluate", *argv, "--output-dir", str(tmp_path / "eval")]) == EXIT_OK
+
+
+def save_synthetic_checkpoint(path, input_features, class_names, columns, task):
+    model = build(LuNetSpec(input_features=input_features, num_classes=len(class_names),
+                            levels=(4,), final_conv_filters=4))
+    save_checkpoint(path, model, np.zeros(input_features), np.ones(input_features),
+                    class_names, columns, task)
+
+
+def test_checkpoint_with_more_columns_than_inputs_exits_3(tmp_path, capsys):
+    # the 64 columns match the synthetic data's, so only the load can catch it
+    ckpt = tmp_path / "wide.lunet"
+    save_synthetic_checkpoint(ckpt, 32, ["class0", "class1"], [f"f{i}" for i in range(64)],
+                              "binary")
+    assert main(["evaluate", "--dataset", "synthetic", "--checkpoint", str(ckpt),
+                 "--output-dir", str(tmp_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "64 encoded column names for 32 input features" in err
+
+
+def test_checkpoint_classes_differ_from_the_data_exits_3(tmp_path, capsys):
+    ckpt = tmp_path / "two.lunet"
+    save_synthetic_checkpoint(ckpt, 64, ["class0", "class1"], [f"f{i}" for i in range(64)],
+                              "multi")
+    assert main(["evaluate", "--dataset", "synthetic", "--task", "multi",
+                 "--checkpoint", str(ckpt), "--output-dir", str(tmp_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "'class4'" in err and "['class0', 'class1']" in err
 
 
 def test_truncated_checkpoint_exits_3(nsl_run, capsys):

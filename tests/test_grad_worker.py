@@ -297,24 +297,42 @@ class TestWorker:
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                         reason="needs a process that may run on 2 CPUs")
     def test_worker_is_kept_off_the_queueing_threads_cpu(self):
+        # the queueing thread is pinned to each CPU in turn; the worker pins
+        # itself off that CPU when it runs the next job queued from there
         proc = run_python("""
-            import os
+            import os, threading
             import numpy as np
             from lunet import layers
             layer = layers.Layer("probe")
             layer.add_param("w", np.zeros(1))
             layer._defer(lambda: None)
             layer.grads
-            cpus, worker = os.sched_getaffinity(0), layers._grad_worker
+            cpus = os.sched_getaffinity(0)
             assert layers._current_cpu() in cpus
-            assert worker.avoided in cpus
+            assert layers._grad_worker.avoided in cpus
+            worker, = [t for t in threading.enumerate() if t.name == "lunet-grads"]
             for cpu in sorted(cpus):
-                worker.keep_off(cpu)
-                assert os.sched_getaffinity(worker.thread.native_id) == cpus - {cpu}
+                os.sched_setaffinity(0, {cpu})
+                assert layers._current_cpu() == cpu
+                layer._defer(lambda: None)
+                layer.grads
+                assert os.sched_getaffinity(worker.native_id) == cpus - {cpu}
+            os.sched_setaffinity(0, cpus)
             print("ok")
         """, blas_threads=1)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "ok"
+
+    def test_importing_lunet_loads_no_executor_module(self):
+        # concurrent.futures loads logging: start-up time that runs which
+        # never queue a product (such as a data ingest) would pay
+        proc = run_python("""
+            import sys
+            import lunet.cli
+            print("concurrent.futures" in sys.modules)
+        """, blas_threads=1)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_forked_child_trains_with_its_own_worker(self):
         proc = run_python("""
