@@ -90,6 +90,7 @@ def load_checkpoint(path):
     tensors = dict(r.tensor() for _ in range(count))
     if r.pos != len(r.blob):
         raise r.error(f"{len(r.blob) - r.pos} trailing bytes after the last tensor")
+    r.blob = b""  # every tensor is a copy: the file's bytes need not outlive the build
     try:
         spec = LuNetSpec.from_mapping(spec_map)
         shapes = model_mod.tensor_shapes(spec)

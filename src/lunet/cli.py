@@ -204,19 +204,10 @@ def make_spec(cfg: RunConfig, input_features: int, num_classes: int,
         levels=cfg.levels, final_conv_filters=cfg.final_conv_filters, init_seed=init_seed)
 
 
-# Rows per infer-mode forward, picked by measurement: 1,024 rows through a
-# paper-width model ran at 509/592/614/582 rows/s in chunks of 256/128/64/32
-# (median of 9 interleaved passes, 2-core host, BLAS 1 thread). Smaller chunks
-# keep more of each layer's working set in cache until per-call overhead wins.
-# A row's probabilities are the same in any full chunk, but a shorter last
-# chunk can differ in the last bit (see the README).
-PREDICT_CHUNK = 64
-
-
 def predict_batched(model, features: np.ndarray) -> np.ndarray:
-    preds = [model.predict_class(features[i:i + PREDICT_CHUNK])
-             for i in range(0, features.shape[0], PREDICT_CHUNK)]
-    return np.concatenate(preds)
+    """Predicted class per row (the model runs its infer forward in blocks of
+    `lunet.model.INFER_CHUNK` rows)."""
+    return model.predict_class(features)
 
 
 def _train_one_fold(cfg: RunConfig, table: DatasetTable, train_idx, val_idx,

@@ -60,6 +60,21 @@ class TestModelHolds:
         (model, mean, std, *_), nbytes = held(lambda: load_checkpoint(path))
         assert nbytes <= tensor_bytes(model) + mean.nbytes + std.nbytes + SLACK
 
+    def test_a_load_drops_the_file_bytes_before_the_build(self, tmp_path):
+        # the stored tensors and the parameters `build` makes before they
+        # replace them come to about 2x the tensors; the file's bytes held
+        # through the build would add a third copy
+        path = tmp_path / "paper.lunet"
+        save(path, build(PAPER), PAPER.input_features)
+        load_checkpoint(path)
+        tracemalloc.start()
+        try:
+            model = load_checkpoint(path)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * tensor_bytes(model), f"{peak / tensor_bytes(model):.2f}x"
+
 
 class TestGradients:
     def test_read_as_zeros_before_the_first_backward(self):

@@ -12,18 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infer_blocks import single_pass
 from lunet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, ConfigError,
                        RunConfig, build_run_config, main, make_parser, parse_config_file)
-from lunet.checkpoint import save_checkpoint
-from lunet.model import LuNetModel, LuNetSpec, build
+from lunet.checkpoint import load_checkpoint, save_checkpoint
+from lunet.data import NSL_KDD, apply_standardization, load_csv, prepare_dataset
+from lunet.metrics import confusion, confusion_csv
+from lunet.model import INFER_CHUNK, LuNetModel, LuNetSpec, build
 
 
-def write_nsl(path, services):
-    """Twelve NSL-KDD rows, half normal and half neptune, cycling `services`
-    (the csv module quotes a cell that needs it)."""
+def write_nsl(path, services, rows=12):
+    """NSL-KDD rows, half normal and half neptune, cycling `services` (the
+    csv module quotes a cell that needs it); each row's duration is its index."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
-        for i in range(12):
+        for i in range(rows):
             cells = [str(i), "tcp", services[i % len(services)], "SF"] + ["0"] * 37
             out.writerow(cells + ["normal" if i % 2 else "neptune", "20"])
 
@@ -68,6 +71,21 @@ def test_evaluate_of_the_training_csv_with_any_category_name(tmp_path, service):
             "--data-path", str(tmp_path / "odd.csv"), "--checkpoint", str(tmp_path / "m.lunet")]
     assert main(["train", *argv, "--output-dir", str(tmp_path / "train")]) == EXIT_OK
     assert main(["evaluate", *argv, "--output-dir", str(tmp_path / "eval")]) == EXIT_OK
+
+
+def test_evaluate_of_one_row_past_a_block_scores_one_pass_over_all_rows(tmp_path):
+    # the 65th row joins the 64-row block instead of running alone
+    csv_path, ckpt = tmp_path / "rows.csv", tmp_path / "m.lunet"
+    write_nsl(csv_path, ["ftp", "http"], rows=INFER_CHUNK + 1)
+    argv = ["--dataset", "nsl-kdd", "--levels", "4", "--epochs", "1", "--batch-size", "4",
+            "--data-path", str(csv_path), "--checkpoint", str(ckpt)]
+    assert main(["train", *argv, "--output-dir", str(tmp_path / "train")]) == EXIT_OK
+    assert main(["evaluate", *argv, "--output-dir", str(tmp_path / "eval")]) == EXIT_OK
+    model, mean, std, class_names, *_ = load_checkpoint(ckpt)
+    table = prepare_dataset(load_csv(csv_path, NSL_KDD), "binary")
+    probs = single_pass(model, apply_standardization(table.features, mean, std))
+    want = confusion(table.labels, np.argmax(probs, axis=1), class_names)
+    assert (tmp_path / "eval" / "confusion_fold0.csv").read_text() == confusion_csv(want)
 
 
 def save_synthetic_checkpoint(path, input_features, class_names, columns, task):

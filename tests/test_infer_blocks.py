@@ -1,0 +1,57 @@
+"""An infer-mode forward runs its rows in blocks of `INFER_CHUNK`: the
+probabilities are bitwise one pass over all rows (`infer_blocks.py`), here
+and in subprocesses at one and two BLAS threads, and the traced peak of a
+prediction does not grow with its row count."""
+
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from golden_infer import infer_model
+from infer_blocks import first_mismatch
+from lunet.model import INFER_CHUNK
+from lunet.tensor import Rng
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_block_size_is_a_multiple_of_the_row_quantum():
+    # the dense head's GEMM rounds a row by its place among groups of 4 rows
+    assert INFER_CHUNK % 4 == 0
+
+
+def test_forward_is_bitwise_one_pass_over_all_rows():
+    mismatch = first_mismatch()
+    assert mismatch is None, f"first differing case: {mismatch}"
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_forward_is_bitwise_one_pass_at_a_blas_thread_count(blas_threads):
+    env = dict(os.environ)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(blas_threads)
+    env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, str(TESTS / "infer_blocks.py")],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, f"first differing case: {proc.stdout}{proc.stderr}"
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_prediction_peak_does_not_grow_with_the_rows():
+    # one pass over 4,096 rows would hold about 360 MiB of activations
+    model, x = infer_model(2), Rng(4096).normal((4096, 122))
+    one_block = traced_peak(lambda: model.forward(x[:INFER_CHUNK]))
+    all_rows = traced_peak(lambda: model.predict_class(x))
+    assert all_rows <= 2 * one_block, f"{all_rows} bytes against {one_block} for one block"

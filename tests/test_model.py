@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from golden_infer import infer_model
+from infer_blocks import single_pass
 from lunet import LuNetSpec, build, layers
 from lunet.tensor import Rng, softmax
 
@@ -107,7 +108,7 @@ class TestForward:
         np.testing.assert_array_equal(model.forward(x), model.forward(x))
 
     def test_paper_width_probs_do_not_depend_on_chunking(self):
-        # lets the evaluate chunk size change without changing any result
+        # 64-row forwards give the bits of one pass over all 256 rows
         model = build(LuNetSpec(input_features=122, num_classes=2, init_seed=1))
         for _, _, pname, value in model.named_params():
             if pname in ("b", "bias"):
@@ -115,7 +116,7 @@ class TestForward:
         model.set_mode("infer")
         x = Rng(12).normal((256, 122))
         chunks = np.vstack([model.forward(x[i:i + 64]) for i in range(0, 256, 64)])
-        np.testing.assert_array_equal(model.forward(x), chunks)
+        np.testing.assert_array_equal(single_pass(model, x), chunks)
 
     @pytest.mark.parametrize("block_bytes", [1, layers.BLOCK_BYTES])
     @pytest.mark.parametrize("chunk", [1, 37, 64, 256])
@@ -142,10 +143,11 @@ class TestForward:
         np.testing.assert_array_equal(blocks, chunked())
 
     @pytest.mark.parametrize("classes", [2, 5])
-    @pytest.mark.parametrize("batch", [1, 37, 256])
+    @pytest.mark.parametrize("batch", [1, 37, 65, 256])
     def test_infer_forward_leaves_the_input_unchanged(self, classes, batch):
         # infer-mode ReLU and BatchNorm write into their inputs, which must
-        # be the fresh outputs of the layers before them, never the caller's
+        # be the fresh outputs of the layers before them, never the caller's,
+        # in every block of rows (65: a one-row remainder joins the block)
         x = Rng(batch).normal((batch, 122))
         before = x.tobytes()
         infer_model(classes).forward(x)
@@ -154,15 +156,16 @@ class TestForward:
     @pytest.mark.parametrize("queued", [False, True], ids=["inline", "queued"])
     def test_paper_width_infer_peak_stays_near_the_largest_activation(
             self, monkeypatch, queued):
-        # a 256-row forward's largest activation is the level-0 conv output,
+        # one pass of the layers over 256 rows (forward would run them in
+        # 64-row blocks): its largest activation is the level-0 conv output,
         # [256, 120, 64] float64; the max pool reads it while writing its
-        # half-sized output, so no forward can peak below 1.5x of it
+        # half-sized output, so no such pass can peak below 1.5x of it
         monkeypatch.setattr(layers, "QUEUE_PRODUCTS", queued)
         model, x = infer_model(2), Rng(12).normal((256, 122))
         conv0_out = 256 * 120 * 64 * 8
         tracemalloc.start()
         try:
-            model.forward(x)
+            single_pass(model, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
