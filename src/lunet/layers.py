@@ -7,10 +7,11 @@ keys and shapes as `self.params`; each accumulator is made, zeroed, at its
 first read, so a layer that never runs backward holds none). A train-mode
 forward keeps in `_cache` what backward needs; no layer builds backward
 state in infer mode, so there `_cache` is None and `backward` raises
-RuntimeError. In infer mode `ReLU` and `BatchNorm` write their output into
-their input and `LSTM` writes its h(t) straight into its output; in both
-modes `Conv1D` adds its taps into its output through one buffer per block of
-batch rows (BLOCK_BYTES).
+RuntimeError. In both modes `ReLU` and `BatchNorm` write their output into
+their input, `LSTM` writes its h(t) straight into its output and `Conv1D`
+adds its taps into its output through one buffer per block of batch rows
+(BLOCK_BYTES); the mode decides only which statistics are used and what is
+kept for backward.
 
 Where BLAS runs one thread and a second CPU is there (QUEUE_PRODUCTS),
 `Conv1D` and `LSTM` hand independent products to one worker thread
@@ -25,8 +26,9 @@ them over), in both modes:
   calling thread and queue their weight-gradient products there, so those
   run beside the backward pass of the layers below. Reading `grads` waits
   for the layer's queued products and raises any exception they raised. A
-  queued product reads the layer's forward input and its `upstream`, so a
-  caller must not write into either until it has read `grads`.
+  queued product reads the layer's forward input and its `upstream`, and
+  the LSTM's reads its forward output too, so a caller must not write into
+  any of these until it has read `grads`.
 Each product keeps the shape, operands and accumulation order it has inline,
 so every output and gradient is bitwise that of a single-threaded pass. A
 forward waits for its own products, or cancels one the worker has not
@@ -296,20 +298,17 @@ class Conv1D(Layer):
 
 
 class ReLU(Layer):
-    """max(0, x). An infer-mode forward clips its input in place and returns
-    it, so a caller must not read that input afterwards; a train-mode
-    forward returns a new array."""
+    """max(0, x). A forward clips its input in place and returns it, so a
+    caller must not read that input afterwards; train mode first keeps
+    x > 0 for backward."""
 
     def __init__(self, name: str = "relu"):
         super().__init__(name)
 
     def forward(self, x, mode="train"):
-        if mode != "train":
-            self._cache = None
-            # 0.0 first, as in train mode: it decides which zero -0.0 gives
-            return np.maximum(0.0, x, out=x)
-        self._cache = x > 0
-        return np.maximum(0.0, x)
+        self._cache = x > 0 if mode == "train" else None
+        # 0.0 first: it decides which zero -0.0 gives
+        return np.maximum(0.0, x, out=x)
 
     def backward(self, upstream):
         mask = self._require_cache()
@@ -374,9 +373,11 @@ class BatchNorm(Layer):
     Accepts [batch, features] or [batch, length, features]; statistics reduce
     over every axis but the last. Running statistics follow
     running <- BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch_stat.
-    An infer-mode forward normalizes its input in place and returns it, so a
-    caller must not read that input afterwards; a train-mode forward returns
-    a new array.
+    A forward subtracts the mean from its input in place (the batch mean in
+    train mode, the running mean in infer mode), so a caller must not read
+    that input afterwards. Infer mode finishes the output there and returns
+    it; train mode keeps the normalized input for backward and returns a new
+    array.
     """
 
     def __init__(self, features: int, epsilon: float = 1e-5, name: str = "bn"):
@@ -404,10 +405,9 @@ class BatchNorm(Layer):
             var = x.var(axis=axes)  # population variance
             self.running_mean[...] = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mu
             self.running_var[...] = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
-            xhat = x - mu
         else:
-            var = self.running_var
-            xhat = np.subtract(x, self.running_mean, out=x)
+            mu, var = self.running_mean, self.running_var
+        xhat = np.subtract(x, mu, out=x)
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
         xhat *= inv_std
         if mode != "train":
@@ -441,12 +441,13 @@ class LSTM(Layer):
     The four sub-nets are stored gate-stacked: U [in, 4c], W [c, 4c] and
     b [4c] hold the gates as column blocks in the order p|g|f|q, so a step
     makes one h @ W product and the input products are made for a block of
-    timesteps at once. Gate activations and states are kept time-major
-    ([length, batch, .]) between forward and backward. An infer-mode forward
-    writes each h(t) straight into its batch-major output. Besides that
-    output it holds two blocks of gate pre-activations (about BLOCK_BYTES
-    each), the input rows of the block being made, and a few [batch, cells]
-    rows: the zero h(-1), the cell state, a gate product and a step's h @ W.
+    timesteps at once. A forward writes each h(t) straight into its
+    batch-major output. Train mode keeps that output, every step's gate
+    activations and every cell state (time-major, [length, batch, .]) for
+    backward. Besides its output an infer-mode forward holds two blocks of
+    gate pre-activations (about BLOCK_BYTES each), the input rows of the
+    block being made, and a few [batch, cells] rows: the zero h(-1), the cell
+    state, a gate product and a step's h @ W.
     """
 
     def __init__(self, in_dim: int, cells: int, rng: Rng, name: str = "lstm"):
@@ -491,14 +492,10 @@ class LSTM(Layer):
             np.matmul(xt, p["U"], out=steps.reshape(-1, 4 * c))
             steps += p["b"]
 
-        if train:
-            hs = np.zeros((length + 1, b, c))  # hs[t] is h(t-1); hs[0] is the zero state
-            h, h_rows = hs[0], hs[1:]
-        else:
-            # h(t) goes straight into out[:, t], and the next step's h @ W
-            # reads it there: a strided row rounds as a contiguous one
-            out = np.empty((b, length, c))
-            h, h_rows = np.zeros((b, c)), out.transpose(1, 0, 2)
+        # h(t) goes straight into out[:, t], and the next step's h @ W reads
+        # it there: a strided row rounds as a contiguous one
+        out = np.empty((b, length, c))
+        h, h_rows = np.zeros((b, c)), out.transpose(1, 0, 2)
         # train keeps every s(t) for backward; infer updates one row in place
         ss = np.zeros((length + 1 if train else 1, b, c))
         ig = np.empty((b, c))
@@ -519,14 +516,11 @@ class LSTM(Layer):
                 np.tanh(s, out=h)
                 h *= q_g
             _join(job)
-        if not train:
-            self._cache = None
-            return out
-        self._cache = (x, gates, hs, ss)
-        return np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
+        self._cache = (x, gates, out, ss) if train else None
+        return out
 
     def backward(self, upstream):
-        x, gates, hs, ss = self._require_cache()
+        x, gates, out, ss = self._require_cache()
         b, length, _ = x.shape
         c, p = self.cells, self.params
         if upstream.shape != (b, length, c):
@@ -554,9 +548,10 @@ class LSTM(Layer):
 
         def weight_grads():
             g = self._grads
-            h_prev = hs[:-1].transpose(1, 0, 2).reshape(-1, c)  # a batch-major copy
+            h_prev = np.zeros_like(out)  # batch-major h(t-1); h(-1) is zero
+            h_prev[:, 1:] = out[:, :-1]
             g["U"] += x.reshape(-1, self.in_dim).T @ da
-            g["W"] += h_prev.T @ da
+            g["W"] += h_prev.reshape(-1, c).T @ da
             g["b"] += da.sum(axis=0)
 
         self._defer(weight_grads)

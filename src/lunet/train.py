@@ -232,7 +232,7 @@ def standard_gradient_suite() -> dict[str, float]:
 
         def loss_fn():
             _reseed_dropout([layer])
-            out = layer.forward(x)
+            out = layer.forward(x.copy())
             if "w" not in w_holder:
                 w_holder["w"] = Rng(11).normal(out.shape)
             return float((out * w_holder["w"]).sum())

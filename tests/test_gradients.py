@@ -44,7 +44,7 @@ def test_zero_parameter_layer_still_checks_input_gradient():
     w = Rng(2).normal((2, 5))
 
     def loss_fn():
-        return float((relu.forward(x) * w).sum())
+        return float((relu.forward(x.copy()) * w).sum())  # clips its input
 
     loss_fn()
     dx = relu.backward(w)

@@ -222,10 +222,10 @@ class TestBatchNorm:
     def test_infer_uses_running_stats(self):
         bn = BatchNorm(2)
         x = Rng(5).normal((16, 2), 1.0, 2.0)
-        for _ in range(800):
-            bn.forward(x)
-        infer_out = bn.forward(x.copy(), mode="infer")  # normalizes its input in place
-        train_out = bn.forward(x, mode="train")
+        for _ in range(800):  # each forward normalizes its input in place
+            bn.forward(x.copy())
+        infer_out = bn.forward(x.copy(), mode="infer")
+        train_out = bn.forward(x.copy(), mode="train")
         np.testing.assert_allclose(infer_out, train_out, atol=1e-2)
         # single row is fine in infer mode
         bn.forward(x[:1], mode="infer")
@@ -403,6 +403,23 @@ class TestLstm:
                 tracemalloc.stop()
         assert peaks["infer"] < all_gates <= peaks["train"]
         assert lstm._cache[1].nbytes == all_gates
+
+    def test_train_holds_gates_and_about_twice_its_output(self, monkeypatch):
+        # train keeps every step's gates, its output and every cell state
+        # (one output's bytes); h(t) goes straight into the output, so any
+        # other output-sized buffer would put the peak near 3x
+        monkeypatch.setattr(layers, "QUEUE_PRODUCTS", False)
+        all_gates, out_bytes = 60 * 256 * 4 * 64 * 8, 256 * 60 * 64 * 8
+        lstm = LSTM(64, 64, Rng(0))
+        x = Rng(1).normal((256, 60, 64))
+        tracemalloc.start()
+        try:
+            lstm.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = (peak - all_gates) / out_bytes
+        assert extra <= 2.5, f"peak is all gates plus {extra:.2f}x the output"
 
 
 class TestDropout:

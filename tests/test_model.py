@@ -153,6 +153,17 @@ class TestForward:
         infer_model(classes).forward(x)
         assert x.tobytes() == before
 
+    @pytest.mark.parametrize("classes", [2, 5])
+    @pytest.mark.parametrize("batch", [2, 37, 65])
+    def test_train_forward_leaves_the_input_unchanged(self, classes, batch):
+        # train-mode ReLU and BatchNorm write into their inputs too
+        x = Rng(batch).normal((batch, 122))
+        before = x.tobytes()
+        model = infer_model(classes)
+        model.set_mode("train")
+        model.forward(x)
+        assert x.tobytes() == before
+
     @pytest.mark.parametrize("queued", [False, True], ids=["inline", "queued"])
     def test_paper_width_infer_peak_stays_near_the_largest_activation(
             self, monkeypatch, queued):
