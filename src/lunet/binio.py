@@ -2,8 +2,9 @@
 
 Integers and floats are little-endian. A key=value block is a u32 byte count
 then UTF-8 `key=value` lines; a tensor is a u16-prefixed name, a u8 rank, u32
-dims and float64 data; a string list is a u32 count, then each string as a
-u32 byte count and its UTF-8 bytes, so no value needs escaping.
+dims and float64 data, which a read requires to be finite; a string list is a
+u32 count, then each string as a u32 byte count and its UTF-8 bytes, so no
+value needs escaping.
 """
 
 from __future__ import annotations
@@ -87,7 +88,13 @@ class Reader:
             check_shape(dims)
         except ValueError as e:
             raise self.error(f"tensor {name!r}: {e}", at) from None
+        at = self.pos
         data = np.frombuffer(self.take(8 * math.prod(dims)), dtype="<f8")
+        finite = np.isfinite(data)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise self.error(f"tensor {name!r} holds a non-finite value "
+                             f"{float(data[i])!r}", at + 8 * i)
         return name, data.reshape(dims).copy()
 
     def strings(self) -> list:

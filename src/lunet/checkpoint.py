@@ -2,9 +2,10 @@
 running statistics, and the standardization constants needed for evaluation.
 
 Layout (all integers and floats little-endian):
-  magic "LUNET1\\0" | u32 version | spec key=value block | meta key=value block
-  (the task) | class names | encoded column names | u32 tensor count | tensors
-  (u16 name len, name, u8 rank, u32 dims, f64 data)
+  magic "LUNET1\\0" | u32 version | spec key=value block (the `LuNetSpec`
+  fields) | meta key=value block (the task) | class names | encoded column
+  names | u32 tensor count | tensors (u16 name len, name, u8 rank, u32 dims,
+  f64 data)
 
 The two name lists are binio string lists, so a name may hold any character.
 Versions 1 and 2 joined each list with "|" into the meta block, so a name
@@ -12,7 +13,9 @@ holding "|" or a newline did not survive; they still load. Versions 2 and 3
 store each LSTM as gate-stacked `levelK.lstm.U`, `.W` and `.b` with the gates
 as column blocks p|g|f|q. Version 1 stored one tensor per gate
 (`levelK.lstm.U_p`, ..., `.b_q`); the loader stacks the four gate tensors in
-p|g|f|q order.
+p|g|f|q order. Spec blocks written before kernel, pool and dropout became
+model constants also hold kernel_size, pool_size and dropout_rate; such a
+file loads only where each equals its constant.
 """
 
 from __future__ import annotations

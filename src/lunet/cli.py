@@ -213,6 +213,11 @@ def predict_batched(model, features: np.ndarray) -> np.ndarray:
 def _train_one_fold(cfg: RunConfig, table: DatasetTable, train_idx, val_idx,
                     fold: int):
     mean, std = fit_standardization(table.features, train_idx)
+    finite = np.isfinite(mean) & np.isfinite(std)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DataError(f"fold {fold}: encoded column {table.encoded_columns[i]!r} overflows "
+                        f"standardization (mean {float(mean[i])!r}, std {float(std[i])!r})")
     x = apply_standardization(table.features, mean, std)
     spec = make_spec(cfg, x.shape[1], len(table.class_names), cfg.seed + fold)
     model = _configured(model_mod.build, spec=spec)

@@ -58,6 +58,7 @@ from .tensor import Rng, sigmoid
 BLOCK_BYTES = 1 << 20
 
 BN_MOMENTUM = 0.99  # weight of the old value in a batch-norm running statistic
+BN_EPSILON = 1e-5  # added to a batch-norm variance before its square root
 
 
 def _queue_pays() -> bool:
@@ -380,12 +381,9 @@ class BatchNorm(Layer):
     array.
     """
 
-    def __init__(self, features: int, epsilon: float = 1e-5, name: str = "bn"):
+    def __init__(self, features: int, name: str = "bn"):
         super().__init__(name)
-        if epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
         self.features = features
-        self.epsilon = epsilon
         self.add_param("gamma", np.ones(features))
         self.add_param("beta", np.zeros(features))
         self.running_mean = np.zeros(features)
@@ -408,7 +406,7 @@ class BatchNorm(Layer):
         else:
             mu, var = self.running_mean, self.running_var
         xhat = np.subtract(x, mu, out=x)
-        inv_std = 1.0 / np.sqrt(var + self.epsilon)
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat *= inv_std
         if mode != "train":
             self._cache = None

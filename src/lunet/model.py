@@ -13,6 +13,12 @@ from .layers import (LSTM, BatchNorm, Conv1D, Dense, Dropout, GlobalAvgPool,
 from .tensor import Rng, softmax
 
 
+# The paper's fixed architecture; older checkpoints record it (see from_mapping)
+KERNEL_SIZE = 3
+POOL_SIZE = 2
+DROPOUT_RATE = 0.5
+
+
 @dataclass
 class LuNetSpec:
     """Declarative description of a LuNet stack."""
@@ -20,9 +26,6 @@ class LuNetSpec:
     input_features: int
     num_classes: int
     levels: tuple[int, ...] = (64, 128, 256)
-    kernel_size: int = 3
-    pool_size: int = 2
-    dropout_rate: float = 0.5
     final_conv_filters: int = 256
     init_seed: int = 0
 
@@ -34,10 +37,6 @@ class LuNetSpec:
             raise ValueError("num_classes must be >= 2")
         if self.input_features < 1:
             raise ValueError("input_features must be >= 1")
-        if self.kernel_size < 1 or self.pool_size < 1:
-            raise ValueError("kernel_size and pool_size must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0,1)")
         if self.final_conv_filters < 1:
             raise ValueError("final_conv_filters must be >= 1")
 
@@ -46,22 +45,20 @@ class LuNetSpec:
             "input_features": str(self.input_features),
             "num_classes": str(self.num_classes),
             "levels": ",".join(str(w) for w in self.levels),
-            "kernel_size": str(self.kernel_size),
-            "pool_size": str(self.pool_size),
-            "dropout_rate": repr(self.dropout_rate),
             "final_conv_filters": str(self.final_conv_filters),
             "init_seed": str(self.init_seed),
         }
 
     @classmethod
     def from_mapping(cls, m: dict[str, str]) -> "LuNetSpec":
+        for key, fixed in (("kernel_size", KERNEL_SIZE), ("pool_size", POOL_SIZE),
+                           ("dropout_rate", DROPOUT_RATE)):
+            if key in m and type(fixed)(m[key]) != fixed:
+                raise ValueError(f"{key} is {m[key]}, but lunet's is fixed at {fixed}")
         return cls(
             input_features=int(m["input_features"]),
             num_classes=int(m["num_classes"]),
             levels=tuple(int(w) for w in m["levels"].split(",")),
-            kernel_size=int(m["kernel_size"]),
-            pool_size=int(m["pool_size"]),
-            dropout_rate=float(m["dropout_rate"]),
             final_conv_filters=int(m["final_conv_filters"]),
             init_seed=int(m["init_seed"]),
         )
@@ -162,27 +159,27 @@ def _levels(spec: LuNetSpec):
     length = spec.input_features
     for k, (c_in, width) in enumerate(zip((1,) + spec.levels, spec.levels)):
         tag = f"level{k}"
-        if length < spec.kernel_size:
+        if length < KERNEL_SIZE:
             raise ValueError(
                 f"input length exhausted at {tag}: conv needs length >= "
-                f"{spec.kernel_size}, have {length}")
-        length = length - spec.kernel_size + 1
-        if length < spec.pool_size:
+                f"{KERNEL_SIZE}, have {length}")
+        length = length - KERNEL_SIZE + 1
+        if length < POOL_SIZE:
             raise ValueError(
                 f"input length exhausted at {tag}: pool needs length >= "
-                f"{spec.pool_size}, have {length}")
-        length = length // spec.pool_size
+                f"{POOL_SIZE}, have {length}")
+        length = length // POOL_SIZE
         yield tag, c_in, width
-    if length < spec.kernel_size:
+    if length < KERNEL_SIZE:
         raise ValueError(
             f"input length exhausted at head conv: needs length >= "
-            f"{spec.kernel_size}, have {length}")
+            f"{KERNEL_SIZE}, have {length}")
 
 
 def tensor_shapes(spec: LuNetSpec) -> dict[str, tuple[int, ...]]:
     """The shape of every parameter and batch-norm statistic `build(spec)`
     makes, by name, from the length walk alone: nothing is allocated."""
-    k, shapes = spec.kernel_size, {}
+    k, shapes = KERNEL_SIZE, {}
     for tag, c_in, width in _levels(spec):
         shapes[f"{tag}.conv.filters"] = (width, c_in, k)
         for name in ("conv.bias", "bn.gamma", "bn.beta", "bn.running_mean", "bn.running_var"):
@@ -203,13 +200,13 @@ def build(spec: LuNetSpec, init_rng=None) -> LuNetModel:
     drop_rng = Rng(spec.init_seed + 1)
     layers: list[Layer] = []
     for tag, c_in, width in _levels(spec):
-        layers += [Conv1D(c_in, width, spec.kernel_size, init_rng, name=f"{tag}.conv"),
+        layers += [Conv1D(c_in, width, KERNEL_SIZE, init_rng, name=f"{tag}.conv"),
                    ReLU(name=f"{tag}.relu"),
-                   MaxPool1D(spec.pool_size, name=f"{tag}.pool"),
+                   MaxPool1D(POOL_SIZE, name=f"{tag}.pool"),
                    BatchNorm(width, name=f"{tag}.bn"),
                    LSTM(width, width, init_rng, name=f"{tag}.lstm")]
-    layers += [Dropout(spec.dropout_rate, drop_rng, name="head.dropout"),
-               Conv1D(spec.levels[-1], spec.final_conv_filters, spec.kernel_size, init_rng,
+    layers += [Dropout(DROPOUT_RATE, drop_rng, name="head.dropout"),
+               Conv1D(spec.levels[-1], spec.final_conv_filters, KERNEL_SIZE, init_rng,
                       name="head.conv"),
                ReLU(name="head.relu"),
                GlobalAvgPool(name="head.gap"),

@@ -121,7 +121,7 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_batchnorm_moments():
-    bn = BatchNorm(5, epsilon=1e-5)
+    bn = BatchNorm(5)
     out = bn.forward(Rng(3).normal((32, 5), 2.0, 3.0), mode="train")
     ok = (np.max(np.abs(out.mean(axis=0))) < 1e-10
           and np.max(np.abs(out.var(axis=0) - 1.0)) < 1e-3)

@@ -127,8 +127,8 @@ class TestLoadDrawsNothing:
     @pytest.mark.parametrize("spec", [
         PAPER,
         LuNetSpec(input_features=16, num_classes=3, levels=(4,), final_conv_filters=4),
-        LuNetSpec(input_features=40, num_classes=5, levels=(8, 16), kernel_size=2,
-                  pool_size=3, final_conv_filters=6),
+        # 41 -> conv 39 -> pool 19 -> conv 17 -> pool 8: each pool drops a remainder
+        LuNetSpec(input_features=41, num_classes=5, levels=(8, 16), final_conv_filters=6),
     ])
     def test_tensor_shapes_walk_the_spec_as_build_does(self, spec):
         model = build(spec)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lunet import LuNetSpec, build
 from lunet.checkpoint import (MAGIC, VERSION, CheckpointError, load_checkpoint,
                               save_checkpoint)
+from lunet.cli import EXIT_DATA, main
 from lunet.tensor import Rng
 from lunet.train import RmsProp, TrainConfig, train_epoch
 
@@ -109,6 +110,18 @@ class TestVersion2:
         np.testing.assert_array_equal(loaded.forward(x), model.forward(x))
         assert class_names == ["a", "b", "c"]
         assert cols == [f"col{i}" for i in range(16)] and task == "multi"
+
+    def test_spec_holding_another_pool_size_exits_3(self, tmp_path, capsys):
+        # pool size is a model constant now; a file that records another one
+        # must not load as a pool-2 model
+        path = tmp_path / "pool3.lunet"
+        path.write_bytes(V2_CHECKPOINT.read_bytes().replace(b"\npool_size=2\n",
+                                                            b"\npool_size=3\n", 1))
+        assert main(["evaluate", "--dataset", "synthetic", "--task", "multi",
+                     "--checkpoint", str(path), "--output-dir", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{path} byte 11: unbuildable model spec" in err
+        assert "pool_size is 3, but lunet's is fixed at 2" in err
 
 
 class TestNames:

@@ -5,6 +5,7 @@ inconsistent checkpoints and non-finite parameters each end in their
 documented exit code."""
 
 import csv
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -123,6 +124,34 @@ def test_truncated_checkpoint_exits_3(nsl_run, capsys):
     capsys.readouterr()
     assert evaluate(nsl_run, "ftp_http.csv", "short.lunet") == EXIT_DATA
     assert "truncated" in capsys.readouterr().err
+
+
+def test_nan_weight_exits_3_naming_the_tensor(nsl_run, capsys):
+    d, _ = nsl_run
+    blob = bytearray((d / "model.lunet").read_bytes())
+    name = b"head.dense.W"
+    # past the u16 name length, the name, the u8 rank and two u32 dims
+    at = blob.index(struct.pack("<H", len(name)) + name) + 2 + len(name) + 1 + 8
+    blob[at:at + 8] = struct.pack("<d", float("nan"))
+    (d / "nan_weight.lunet").write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert evaluate(nsl_run, "ftp_http.csv", "nan_weight.lunet") == EXIT_DATA
+    assert (f"nan_weight.lunet byte {at}: tensor 'head.dense.W' holds a non-finite "
+            "value nan") in capsys.readouterr().err
+
+
+def test_overflowing_column_exits_3_naming_it(tmp_path, capsys):
+    # a finite 1e308 cell overflows the squared deviations of its column
+    rows = tmp_path / "huge.csv"
+    write_nsl(rows, ["ftp", "http"])
+    lines = rows.read_text().splitlines()
+    lines[3] = "1e308" + lines[3][1:]
+    rows.write_text("\n".join(lines) + "\n")
+    assert main(["crossval", "--dataset", "nsl-kdd", "--data-path", str(rows),
+                 "--folds", "2", "--levels", "4", "--epochs", "1", "--batch-size", "2",
+                 "--output-dir", str(tmp_path / "out")]) == EXIT_DATA
+    assert ("fold 0: encoded column 'duration' overflows standardization (mean "
+            in capsys.readouterr().err)
 
 
 def test_non_finite_cell_exits_3(nsl_run, capsys):

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import struct
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -336,6 +337,14 @@ def parsed(monkeypatch):
     return seen
 
 
+def _nan_duration(good):
+    """The sidecar with a NaN in place of its first `duration` value."""
+    name = b"duration"
+    # past the u16 name length, the name, the u8 rank and its u32 dim
+    at = good.index(struct.pack("<H", len(name)) + name) + 2 + len(name) + 1 + 4
+    return good[:at] + struct.pack("<d", float("nan")) + good[at + 8:]
+
+
 # each turns a good sidecar into one that must be parsed again and rewritten
 DAMAGED = {
     "truncated": lambda good: good[:len(good) // 2],
@@ -343,6 +352,7 @@ DAMAGED = {
     "garbage": lambda good: bytes(range(256)) * 8,
     "wrong-version": lambda good: good.replace(b"version=1\n", b"version=7\n", 1),
     "trailing-byte": lambda good: good + b"\0",
+    "nan-cell": _nan_duration,
 }
 
 

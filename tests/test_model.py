@@ -6,6 +6,7 @@ import pytest
 from golden_infer import infer_model
 from infer_blocks import single_pass
 from lunet import LuNetSpec, build, layers
+from lunet.model import KERNEL_SIZE, POOL_SIZE
 from lunet.tensor import Rng, softmax
 
 
@@ -15,13 +16,13 @@ def walk_shapes(spec):
     length, ch = spec.input_features, 1
     shapes = []
     for k, w in enumerate(spec.levels):
-        length = length - spec.kernel_size + 1  # conv
+        length = length - KERNEL_SIZE + 1  # conv
         shapes += [(f"level{k}.conv", (length, w)), (f"level{k}.relu", (length, w))]
-        length = length // spec.pool_size  # pool
+        length = length // POOL_SIZE  # pool
         shapes += [(f"level{k}.{kind}", (length, w)) for kind in ("pool", "bn", "lstm")]
         ch = w  # lstm cells
     shapes.append(("head.dropout", (length, ch)))
-    length = length - spec.kernel_size + 1  # head conv
+    length = length - KERNEL_SIZE + 1  # head conv
     f = spec.final_conv_filters
     return shapes + [("head.conv", (length, f)), ("head.relu", (length, f)),
                      ("head.gap", (f,)), ("head.dense", (spec.num_classes,))]
@@ -55,8 +56,7 @@ class TestBuild:
             build(LuNetSpec(input_features=4, num_classes=2))
 
     def test_one_level_spec(self):
-        spec = LuNetSpec(input_features=16, num_classes=5, levels=(8,),
-                         kernel_size=3, pool_size=2, final_conv_filters=8)
+        spec = LuNetSpec(input_features=16, num_classes=5, levels=(8,), final_conv_filters=8)
         model = build(spec)
         model.set_mode("infer")
         assert model.forward(Rng(2).normal((2, 16))).shape == (2, 5)
@@ -75,14 +75,13 @@ class TestBuild:
             LuNetSpec(input_features=16, num_classes=1)
         with pytest.raises(ValueError):
             LuNetSpec(input_features=16, num_classes=2, levels=())
-        with pytest.raises(ValueError):
-            LuNetSpec(input_features=16, num_classes=2, dropout_rate=1.0)
 
     def test_spec_mapping_round_trip(self):
         spec = LuNetSpec(input_features=31, num_classes=7, levels=(3, 5),
-                         kernel_size=2, pool_size=3, dropout_rate=0.25,
                          final_conv_filters=9, init_seed=17)
         assert LuNetSpec.from_mapping(spec.to_mapping()) == spec
+        assert list(spec.to_mapping()) == ["input_features", "num_classes", "levels",
+                                           "final_conv_filters", "init_seed"]
 
 
 class TestForward:
