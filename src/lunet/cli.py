@@ -210,15 +210,31 @@ def predict_batched(model, features: np.ndarray) -> np.ndarray:
     return model.predict_class(features)
 
 
+def _standardized(table: DatasetTable, mean, std, where: str) -> np.ndarray:
+    """`table.features` standardized by `mean` and `std`. A value that is not
+    finite is a DataError naming its row (counted from 1 in the table) and
+    encoded column, prefixed by `where`; numpy's own overflow warnings are
+    off, as this check reports them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = apply_standardization(table.features, mean, std)
+    if not np.isfinite(x).all():
+        i, j = divmod(int(np.argmin(np.isfinite(x))), x.shape[1])
+        raise DataError(f"{where}row {i + 1}, encoded column {table.encoded_columns[j]!r}: "
+                        f"{float(table.features[i, j])!r} standardizes to {float(x[i, j])!r} "
+                        f"(mean {float(mean[j])!r}, std {float(std[j])!r})")
+    return x
+
+
 def _train_one_fold(cfg: RunConfig, table: DatasetTable, train_idx, val_idx,
                     fold: int):
-    mean, std = fit_standardization(table.features, train_idx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = fit_standardization(table.features, train_idx)
     finite = np.isfinite(mean) & np.isfinite(std)
     if not finite.all():
         i = int(np.argmin(finite))
         raise DataError(f"fold {fold}: encoded column {table.encoded_columns[i]!r} overflows "
                         f"standardization (mean {float(mean[i])!r}, std {float(std[i])!r})")
-    x = apply_standardization(table.features, mean, std)
+    x = _standardized(table, mean, std, f"fold {fold}: ")
     spec = make_spec(cfg, x.shape[1], len(table.class_names), cfg.seed + fold)
     model = _configured(model_mod.build, spec=spec)
     tc = _configured(TrainConfig, epochs=cfg.epochs, batch_size=cfg.batch_size,
@@ -324,7 +340,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         raise DataError(f"the data's classes are {table.class_names}, but the checkpoint "
                         f"was trained with {class_names}")
     # standardization always comes from the checkpoint, never re-fit
-    x = apply_standardization(table.features, mean, std)
+    x = _standardized(table, mean, std, "")
     pred = predict_batched(model, x)
     cm = confusion(table.labels, pred, class_names)
     write_report(cfg, assemble_report([(0, cm)]))

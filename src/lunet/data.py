@@ -11,10 +11,12 @@ import os
 import struct
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain, islice
 
 import numpy as np
 
+from . import layers
 from .binio import Reader, write_block, write_strings, write_tensor
 from .tensor import Rng
 
@@ -412,33 +414,63 @@ def load_csv(path, schema: DatasetSchema, paths_extra=()) -> RawTable:
     return RawTable(schema=schema, columns=columns, label_values=label_values)
 
 
+def _by_halves(fill, out: np.ndarray):
+    """Call `fill(lo, hi)` to write rows [lo, hi) of `out`, for all its rows:
+    where `out` holds at least 2 x `layers.BLOCK_BYTES` and the worker can pay
+    (`layers.QUEUE_PRODUCTS`), the second half on the `lunet-grads` worker
+    while this thread writes the first, else all of them here. Each element
+    gets the operation it gets in one pass, so the result is bitwise the
+    same either way; an exception from either half is raised here, after
+    both are done."""
+    n = len(out)
+    if not layers.QUEUE_PRODUCTS or out.nbytes < 2 * layers.BLOCK_BYTES:
+        fill(0, n)
+        return
+    job = layers._submit(partial(fill, n // 2, n))
+    try:
+        fill(0, n // 2)
+    finally:
+        layers._join(job)
+
+
 def encode_categorical(raw: RawTable) -> tuple[np.ndarray, list]:
     """One-hot expand categorical columns in place of their original position.
 
     Vocabularies are computed over the full table and indicator columns are
     ordered lexicographically, so the encoded width never varies per fold.
+    Each categorical column becomes an array of its cells' encoded column
+    indices, and the table is then written in blocks of rows of about
+    `layers.BLOCK_BYTES`, which stay in cache while every column writes into
+    them (see `_by_halves`).
     """
     n = raw.n_rows
-    vocabs, encoded_columns = {}, []
-    for name, kind in raw.schema.feature_columns:
-        if kind == NUMERIC:
-            encoded_columns.append(name)
-        else:
-            vocabs[name] = vocab = sorted(set(raw.columns[name]))
-            if not vocab:
-                raise DataError(f"categorical column {name!r} is empty")
-            encoded_columns.extend(f"{name}={v}" for v in vocab)
-    features = np.zeros((n, len(encoded_columns)))
-    j = 0
+    numeric, codes, encoded_columns = [], [], []
     for name, kind in raw.schema.feature_columns:
         col = raw.columns[name]
         if kind == NUMERIC:
-            features[:, j] = col
-            j += 1
-        else:
-            index = {v: i for i, v in enumerate(vocabs[name], j)}
-            features[np.arange(n), [index[v] for v in col]] = 1.0
-            j += len(index)
+            numeric.append((len(encoded_columns), col))
+            encoded_columns.append(name)
+            continue
+        vocab = sorted(set(col))
+        if not vocab:
+            raise DataError(f"categorical column {name!r} is empty")
+        index = {v: i for i, v in enumerate(vocab, len(encoded_columns))}
+        codes.append(np.fromiter(map(index.__getitem__, col), np.intp, n))
+        encoded_columns.extend(f"{name}={v}" for v in vocab)
+    features = np.zeros((n, len(encoded_columns)))
+    block = max(1, layers.BLOCK_BYTES // (features.itemsize * features.shape[1]))
+
+    def fill(lo, hi):
+        rows = np.arange(min(block, hi - lo))
+        for r0 in range(lo, hi, block):
+            r1 = min(r0 + block, hi)
+            f = features[r0:r1]
+            for j, col in numeric:
+                f[:, j] = col[r0:r1]
+            for c in codes:
+                f[rows[:r1 - r0], c[r0:r1]] = 1.0
+
+    _by_halves(fill, features)
     return features, encoded_columns
 
 
@@ -511,11 +543,20 @@ def fit_standardization(features: np.ndarray, fit_rows: np.ndarray):
 
 def apply_standardization(features: np.ndarray, mean: np.ndarray,
                           std: np.ndarray) -> np.ndarray:
-    # near-constant columns map to exactly zero instead of exploding
-    safe = np.where(std < 1e-12, 1.0, std)
-    out = features - mean
-    out /= safe
-    out[:, std < 1e-12] = 0.0
+    """`(features - mean) / std` in a new array, with near-constant columns
+    (std below 1e-12) exactly zero instead of exploding; written by halves
+    of its rows (see `_by_halves`)."""
+    const = std < 1e-12
+    safe = np.where(const, 1.0, std)
+    out = np.empty(features.shape)
+
+    def fill(lo, hi):
+        o = out[lo:hi]
+        np.subtract(features[lo:hi], mean, out=o)
+        o /= safe
+        o[:, const] = 0.0
+
+    _by_halves(fill, out)
     return out
 
 

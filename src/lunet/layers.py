@@ -83,8 +83,10 @@ class _GradWorker:
     only where nothing reads until then: a forward job into rows or a block
     of its layer's output or gate buffers, which the forward waits for
     (`_join`); a backward job into its layer's gradient buffers, which
-    `grads` waits for. It calls no layer, model or train function, so
-    wrappers that time those from one thread never see this one."""
+    `grads` waits for; a `data` job into the second half of the rows of the
+    table its encode or standardize call returns, which that call waits for.
+    It calls no layer, model, train or data function, so wrappers that time
+    those from one thread never see this one."""
 
     def __init__(self):
         # here: at module level it puts `logging` in every `import lunet` (4-12 ms)
@@ -98,19 +100,21 @@ class _GradWorker:
         self.pool = ThreadPoolExecutor(1, initializer=lambda: setattr(
             threading.current_thread(), "name", "lunet-grads"))
 
-    def run_kept_off(self, cpu: int | None, fn):
-        """Run `fn` on the worker, after letting it run on any of the process's
-        CPUs but `cpu`, the one that submitted the job. Left to itself, a
-        kernel may wake the worker on its waker's CPU every time, so that the
-        two share one core while another idles: on a 2-vCPU VM they shared one
-        in every sample taken."""
+    def run_kept_off(self, cpu: int | None, errstate: dict, fn):
+        """Run `fn` on the worker under numpy error state `errstate`, the
+        submitting thread's, after letting it run on any of the process's CPUs
+        but `cpu`, the one that submitted the job. Left to itself, a kernel
+        may wake the worker on its waker's CPU every time, so that the two
+        share one core while another idles: on a 2-vCPU VM they shared one in
+        every sample taken."""
         if cpu is not None and cpu != self.avoided and len(self.cpus) >= 2:
             self.avoided = cpu
             try:
                 os.sched_setaffinity(0, self.cpus - {cpu})
             except OSError:  # the process's CPUs changed since; leave it be
                 pass
-        fn()
+        with np.errstate(**errstate):
+            fn()
 
 
 def _current_cpu() -> int | None:
@@ -139,12 +143,14 @@ def _worker() -> _GradWorker:
 
 def _submit(fn) -> tuple | None:
     """Start `fn` on the worker and return its future with `fn`, or run it
-    here and return None where the worker cannot pay (QUEUE_PRODUCTS)."""
+    here and return None where the worker cannot pay (QUEUE_PRODUCTS). The
+    worker runs it under the calling thread's numpy error state, so it warns,
+    raises or stays silent as it would here."""
     if not QUEUE_PRODUCTS:
         fn()
         return None
     worker = _worker()
-    return worker.pool.submit(worker.run_kept_off, _current_cpu(), fn), fn
+    return worker.pool.submit(worker.run_kept_off, _current_cpu(), np.geterr(), fn), fn
 
 
 def _join(job: tuple | None):

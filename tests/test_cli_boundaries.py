@@ -14,10 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infer_blocks import single_pass
-from lunet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, ConfigError,
-                       RunConfig, build_run_config, main, make_parser, parse_config_file)
+from lunet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, TRAIN_FOLDS,
+                       ConfigError, RunConfig, build_run_config, main, make_parser,
+                       parse_config_file)
 from lunet.checkpoint import load_checkpoint, save_checkpoint
-from lunet.data import NSL_KDD, apply_standardization, load_csv, prepare_dataset
+from lunet.data import (NSL_KDD, apply_standardization, load_csv, prepare_dataset,
+                        stratified_kfold)
 from lunet.metrics import confusion, confusion_csv
 from lunet.model import INFER_CHUNK, LuNetModel, LuNetSpec, build
 
@@ -152,6 +154,48 @@ def test_overflowing_column_exits_3_naming_it(tmp_path, capsys):
                  "--output-dir", str(tmp_path / "out")]) == EXIT_DATA
     assert ("fold 0: encoded column 'duration' overflows standardization (mean "
             in capsys.readouterr().err)
+
+
+def write_small_durations(path, huge_row=None):
+    """`write_nsl` rows whose durations are their index / 100 (std about
+    0.035), with `1e308` in data row `huge_row` (counted from 0)."""
+    write_nsl(path, ["ftp", "http"])
+    lines = path.read_text().splitlines()
+    lines = [("1e308" if i == huge_row else str(i / 100)) + line[line.index(","):]
+             for i, line in enumerate(lines)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_evaluate_exits_3_on_a_row_that_standardizes_to_inf(tmp_path, capsys):
+    # numpy's overflow warning on the way would fail this test too, as
+    # pyproject.toml makes every RuntimeWarning an error
+    common = ["--dataset", "nsl-kdd", "--levels", "4", "--epochs", "1",
+              "--batch-size", "4", "--checkpoint", str(tmp_path / "model.lunet")]
+    write_small_durations(tmp_path / "train.csv")
+    assert main(["train", *common, "--data-path", str(tmp_path / "train.csv"),
+                 "--output-dir", str(tmp_path / "train")]) == EXIT_OK
+    write_small_durations(tmp_path / "huge.csv", huge_row=3)
+    capsys.readouterr()
+    assert main(["evaluate", *common, "--data-path", str(tmp_path / "huge.csv"),
+                 "--output-dir", str(tmp_path / "eval")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error: row 4, encoded column 'duration': 1e+308 standardizes to inf" in err
+    assert not (tmp_path / "eval" / "report.jsonl").exists()
+
+
+def test_train_exits_3_on_a_validation_row_that_standardizes_to_inf(tmp_path, capsys):
+    # the fold's mean and std come from its training rows, and are finite
+    write_small_durations(tmp_path / "rows.csv")
+    table = prepare_dataset(load_csv(str(tmp_path / "rows.csv"), NSL_KDD), "binary")
+    row = int(stratified_kfold(table.labels, TRAIN_FOLDS, 0).val_indices(0)[0])
+    write_small_durations(tmp_path / "rows.csv", huge_row=row)
+    assert main(["train", "--dataset", "nsl-kdd", "--data-path", str(tmp_path / "rows.csv"),
+                 "--levels", "4", "--epochs", "1", "--batch-size", "2",
+                 "--output-dir", str(tmp_path / "out")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert (f"data error: fold 0: row {row + 1}, encoded column 'duration': "
+            "1e+308 standardizes to inf") in err
+    assert not (tmp_path / "out" / "report.jsonl").exists()
 
 
 def test_non_finite_cell_exits_3(nsl_run, capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lunet import data
+from lunet import data, layers
 from lunet.data import (CATEGORICAL, DROP, LABEL, NSL_KDD, NUMERIC, UNSW_NB15,
                         DataError, DatasetSchema, RawTable, encode_categorical,
                         fit_standardization, apply_standardization, load_csv,
@@ -535,6 +535,86 @@ class TestInPlaceNumerics:
         features, _ = encode_categorical(raw)
         assert features.flags.c_contiguous
         assert_bitwise(features, reference_encode(raw))
+
+
+# A table small enough that a few rows cross the split: three numeric columns
+# and 3 + 4 categorical values make 10 encoded columns of
+# 8 bytes, so with BLOCK_BYTES at 5 rows encode writes 5-row blocks and a
+# table of SPLIT_ROWS rows or more holds 2 x BLOCK_BYTES.
+HALVES_SCHEMA = DatasetSchema(
+    columns=(("a", NUMERIC), ("proto", CATEGORICAL), ("b", NUMERIC),
+             ("flag", CATEGORICAL), ("c", NUMERIC), ("label", LABEL)),
+    class_names_multi=("Normal",), class_map_multi={"normal": "Normal"}, label_aliases={})
+HALVES_ROW_BYTES = 10 * 8
+SPLIT_ROWS = 10
+
+
+def halves_raw(n):
+    """`n` rows of HALVES_SCHEMA with -0.0 cells, every categorical value
+    from 4 rows on, and a column constant on its even rows."""
+    rng = np.random.default_rng(n)
+    a = rng.normal(0.0, 40.0, n)
+    a[::3] = -0.0
+    b = rng.normal(5.0, 1.0, n)
+    b[1::4] = 0.0
+    order = rng.permutation(n)
+    return RawTable(schema=HALVES_SCHEMA, label_values=["normal"] * n, columns={
+        "a": a, "b": b, "c": np.where(np.arange(n) % 2, 7.0, 4.25),
+        "proto": [("icmp", "tcp", "udp")[i % 3] for i in order],
+        "flag": [("REJ", "S0", "SF", "SH")[i % 4] for i in order]})
+
+
+class TestByHalves:
+    """Encode and standardize write the second half of a table's rows on the
+    worker where the table holds 2 x BLOCK_BYTES and the worker pays; either
+    way every element has today's plain formula's bits."""
+
+    @pytest.fixture()
+    def submits(self, monkeypatch, request):
+        monkeypatch.setattr(layers, "QUEUE_PRODUCTS", request.param)
+        monkeypatch.setattr(layers, "BLOCK_BYTES", 5 * HALVES_ROW_BYTES)
+        calls = []
+        submit = layers._submit
+
+        def counting(fn):
+            calls.append(fn)
+            return submit(fn)
+
+        monkeypatch.setattr(layers, "_submit", counting)
+        return request.param, calls
+
+    @pytest.mark.parametrize("submits", [True, False], indirect=True,
+                             ids=["worker", "inline"])
+    @pytest.mark.parametrize("n", [1, SPLIT_ROWS - 1, SPLIT_ROWS, SPLIT_ROWS + 1, 37])
+    def test_encode_equals_one_block_per_column(self, submits, n):
+        queue, calls = submits
+        raw = halves_raw(n)
+        features, columns = encode_categorical(raw)
+        assert_bitwise(features, reference_encode(raw))
+        if n >= 4:  # every categorical value is there
+            assert columns == ["a", "proto=icmp", "proto=tcp", "proto=udp", "b", "flag=REJ",
+                               "flag=S0", "flag=SF", "flag=SH", "c"]
+        assert len(calls) == int(queue and n >= SPLIT_ROWS)
+
+    @pytest.mark.parametrize("submits", [True, False], indirect=True,
+                             ids=["worker", "inline"])
+    @pytest.mark.parametrize("n", [0, 1, SPLIT_ROWS - 1, SPLIT_ROWS, SPLIT_ROWS + 1, 37])
+    def test_apply_equals_subtract_then_divide(self, submits, n):
+        queue, calls = submits
+        table, _ = encode_categorical(halves_raw(37))
+        mean, std = fit_standardization(table, np.arange(0, 37, 2))
+        assert std[9] == 0.0  # constant on the fit rows, not on the others
+        del calls[:]
+        x = table[:n].copy()
+        want = x - mean
+        want /= np.where(std < 1e-12, 1.0, std)
+        want[:, std < 1e-12] = 0.0
+        assert_bitwise(apply_standardization(x, mean, std), want)
+        assert len(calls) == int(queue and n >= SPLIT_ROWS)
+
+    def test_encode_of_no_rows_names_the_empty_column(self):
+        with pytest.raises(DataError, match="categorical column 'proto' is empty"):
+            encode_categorical(halves_raw(0))
 
 
 class TestEncodeCategorical:

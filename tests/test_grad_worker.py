@@ -1,10 +1,13 @@
 """The `lunet-grads` worker: where BLAS runs one thread on a host with a
 second CPU, `Conv1D` and `LSTM` forward hand half their batch rows or their
 next block of input products to it and wait for them, and their backward
-queues the weight-gradient products on it, which reading `grads` waits for.
-Inference and training with the worker must be bitwise what inline passes
-give, at any BLAS thread count."""
+queues the weight-gradient products on it, which reading `grads` waits for;
+encoding and standardizing a table of at least 2 x BLOCK_BYTES hand it the
+second half of the rows. Inference and training with the worker must be
+bitwise what inline passes give, at any BLAS thread count, and a job runs
+under the numpy error state of the thread that submitted it."""
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -12,6 +15,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +23,7 @@ import pytest
 
 from lunet import layers
 from lunet.cli import EXIT_OK, main
+from lunet.data import apply_standardization
 from lunet.layers import Layer
 from lunet.model import LuNetSpec, build
 from lunet.tensor import Rng
@@ -154,6 +159,68 @@ class TestWorker:
         monkeypatch.setattr(layers, "_submit", submit)
         np.testing.assert_array_equal(model.forward(x), want)
         assert [t.name for t in threading.enumerate()].count("lunet-grads") == 1
+
+    def test_table_half_error_surfaces_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
+        monkeypatch.setattr(layers, "BLOCK_BYTES", 64)
+        x = Rng(13).normal((9, 7))
+        mean, std = x.mean(axis=0), x.std(axis=0)
+        want = apply_standardization(x, mean, std)
+        submit, halves = layers._submit, []
+
+        def fail(fn):
+            halves.append(fn)
+
+            def job():
+                raise ValueError("table half failed")
+            return submit(job)
+
+        monkeypatch.setattr(layers, "_submit", fail)
+        with pytest.raises(ValueError, match="table half failed"):
+            apply_standardization(x, mean, std)
+        assert len(halves) == 1
+        # the worker lives on, and the next call runs and is right
+        monkeypatch.setattr(layers, "_submit", submit)
+        np.testing.assert_array_equal(apply_standardization(x, mean, std), want)
+        assert [t.name for t in threading.enumerate()].count("lunet-grads") == 1
+
+    def test_worker_job_runs_under_the_callers_error_state(self, monkeypatch):
+        # numpy keeps its error state per thread (1.x) or per context (2.x),
+        # so a job must carry the submitting thread's state to the worker
+        monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
+        ran_on = []
+
+        def overflow():
+            ran_on.append(threading.current_thread().name)
+            return np.full(2, 1e308) * 10.0
+
+        def run_on_worker():
+            job = layers._submit(overflow)
+            concurrent.futures.wait([job[0]])  # so that _join cannot run it here
+            layers._join(job)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # process-wide
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                run_on_worker()
+            with np.errstate(over="warn"), pytest.raises(RuntimeWarning, match="overflow"):
+                run_on_worker()
+            with np.errstate(over="ignore"):
+                run_on_worker()
+        assert ran_on == ["lunet-grads"] * 3
+
+    def test_table_half_runs_under_the_callers_error_state(self, monkeypatch):
+        monkeypatch.setattr(layers, "BLOCK_BYTES", 64)
+        x = np.ones((9, 4))
+        x[-1, 0] = 1e300  # in the worker's half
+        mean, std = np.zeros(4), np.full(4, 1e-10)
+        for queue in (True, False):
+            monkeypatch.setattr(layers, "QUEUE_PRODUCTS", queue)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                apply_standardization(x, mean, std)
+            with np.errstate(over="ignore"):
+                out = apply_standardization(x, mean, std)
+            assert out[-1, 0] == np.inf and np.isfinite(out[:-1]).all()
 
     def test_join_runs_a_job_the_worker_has_not_started(self, monkeypatch):
         # a forward does not wait behind a busy worker: its own job runs here
@@ -293,6 +360,34 @@ class TestWorker:
         """, blas_threads=1)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "['MainThread', 'lunet-grads']"
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="needs a process that may run on 2 CPUs")
+    def test_only_a_table_of_two_blocks_starts_the_worker(self):
+        # encode and standardize split a table that holds 2 x BLOCK_BYTES;
+        # a smaller one, such as evaluate's, runs on the calling thread alone
+        proc = run_python("""
+            import threading
+            import numpy as np
+            from lunet import data, layers
+
+            def encode_and_standardize(n):
+                columns = {name: np.arange(n, dtype=float) if kind == data.NUMERIC
+                           else [f"v{i % 3}" for i in range(n)]
+                           for name, kind in data.NSL_KDD.feature_columns}
+                raw = data.RawTable(data.NSL_KDD, columns, ["normal"] * n)
+                features, _ = data.encode_categorical(raw)
+                mean, std = data.fit_standardization(features, np.arange(n))
+                data.apply_standardization(features, mean, std)
+                return features.nbytes / (2 * layers.BLOCK_BYTES)
+
+            for n in (1024, 6000):
+                share = encode_and_standardize(n)
+                print(round(share, 2), sorted(t.name for t in threading.enumerate()))
+        """, blas_threads=1)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["0.18 ['MainThread']",
+                                                 "1.08 ['MainThread', 'lunet-grads']"]
 
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                         reason="needs a process that may run on 2 CPUs")
