@@ -53,12 +53,16 @@ class Reader:
     def error(self, msg: str, at: int | None = None) -> Exception:
         return self.error_type(f"{self.path} byte {self.pos if at is None else at}: {msg}")
 
-    def take(self, n: int) -> bytes:
+    def skip(self, n: int) -> int:
+        """Move past the next `n` bytes; return the offset they start at."""
         left = len(self.blob) - self.pos
         if n > left:
             raise self.error(f"truncated {self.what}: need {n} bytes, {left} left")
         self.pos += n
-        return self.blob[self.pos - n:self.pos]
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        return self.blob[self.skip(n):self.pos]
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -88,8 +92,10 @@ class Reader:
             check_shape(dims)
         except ValueError as e:
             raise self.error(f"tensor {name!r}: {e}", at) from None
-        at = self.pos
-        data = np.frombuffer(self.take(8 * math.prod(dims)), dtype="<f8")
+        count = math.prod(dims)
+        # a view of the file's bytes, so that the copy returned is the only one
+        at = self.skip(8 * count)
+        data = np.frombuffer(self.blob, dtype="<f8", count=count, offset=at)
         finite = np.isfinite(data)
         if not finite.all():
             i = int(np.argmin(finite))

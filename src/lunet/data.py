@@ -12,7 +12,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -119,15 +119,17 @@ SCHEMAS = {"nsl-kdd": NSL_KDD, "unsw-nb15": UNSW_NB15}
 
 @dataclass
 class RawTable:
-    """Parsed but unencoded rows: feature columns by name, raw label values."""
+    """Parsed rows. A categorical column and the labels (aliases mapped) are a
+    (vocabulary, codes) pair: the distinct values, sorted by `load_csv` (one
+    file's parse or sidecar lists them as they first appear), and row codes."""
 
     schema: DatasetSchema
-    columns: dict  # name -> float64 array (numeric) or list[str] (categorical)
-    label_values: list
+    columns: dict  # name -> float64 array (numeric) or (vocabulary, codes)
+    labels: tuple  # (vocabulary, codes)
 
     @property
     def n_rows(self):
-        return len(self.label_values)
+        return len(self.labels[1])
 
 
 @dataclass
@@ -241,7 +243,7 @@ def _parse_file(p, blob: bytes, schema: DatasetSchema) -> RawTable:
     feature_names = {n for n, _ in schema.feature_columns}
     # numeric columns collect one array per block, categorical ones strings
     columns = {n: [] for n, _ in schema.feature_columns}
-    label_values = []
+    labels = []
     aliases = schema.label_aliases
     row_no = 0
     with io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8", newline="") as fh:
@@ -255,21 +257,25 @@ def _parse_file(p, blob: bytes, schema: DatasetSchema) -> RawTable:
                     if kind == NUMERIC:
                         columns[name].append(np.fromiter(map(float, cells), np.float64, n))
                     elif kind == CATEGORICAL:
-                        # one str object per distinct value, as a cache hit
-                        # gives: later dict and set lookups match on identity
+                        # interned, so `_coded`'s dict lookups match on identity
                         columns[name].extend(map(sys.intern, map(str.strip, cells)))
                     elif kind == LABEL:
-                        labels = list(map(sys.intern, map(str.strip, cells)))
-                        label_values.extend(map(aliases.get, labels, labels))
+                        values = list(map(sys.intern, map(str.strip, cells)))
+                        labels.extend(map(aliases.get, values, values))
             except ValueError:
                 raise _first_fault(p, block, row_no, schema) from None
             row_no += n
     if row_no == 0:
         raise DataError(f"{p}: no data rows")
     for name, kind in schema.feature_columns:
-        if kind == NUMERIC:
-            columns[name] = np.concatenate(columns[name])
-    return RawTable(schema=schema, columns=columns, label_values=label_values)
+        columns[name] = (np.concatenate if kind == NUMERIC else _coded)(columns[name])
+    return RawTable(schema=schema, columns=columns, labels=_coded(labels))
+
+
+def _coded(values: list) -> tuple[list, np.ndarray]:
+    """`values` as (its distinct values in first-appearance order, codes)."""
+    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    return list(index), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
 
 
 # The table cache: each parsed file's table in the sidecar file
@@ -317,22 +323,13 @@ def _read_cache(side: str, key: dict, schema: DatasetSchema) -> RawTable | None:
             if vocab is not None:
                 if not (values.min() >= 0 and values.max() < len(vocab)):
                     return None  # NaN codes fail here too
-                values = np.array(vocab, dtype=object)[values.astype(np.intp)].tolist()
+                values = vocab, values.astype(np.intp)
             columns[name] = values
         if r.pos != len(r.blob):
             return None
     except (OSError, _StaleCache):
         return None
-    label_values = columns.pop(_LABELS[0])
-    return RawTable(schema=schema, columns=columns, label_values=label_values)
-
-
-def _write_coded(fh, name: str, values: list):
-    index = {}
-    codes = np.fromiter((index.setdefault(v, len(index)) for v in values),
-                        np.float64, len(values))
-    write_strings(fh, list(index))
-    write_tensor(fh, name, codes)
+    return RawTable(schema, columns, columns.pop(_LABELS[0]))
 
 
 def _write_cache(side: str, key: dict, raw: RawTable):
@@ -345,12 +342,12 @@ def _write_cache(side: str, key: dict, raw: RawTable):
             fh.write(CACHE_MAGIC)
             write_block(fh, key)
             fh.write(struct.pack("<I", raw.n_rows))
-            for name, kind in raw.schema.feature_columns:
-                if kind == NUMERIC:
-                    write_tensor(fh, name, raw.columns[name])
-                else:
-                    _write_coded(fh, name, raw.columns[name])
-            _write_coded(fh, _LABELS[0], raw.label_values)
+            for name, kind in (*raw.schema.feature_columns, _LABELS):
+                values = raw.labels if kind == LABEL else raw.columns[name]
+                if kind != NUMERIC:
+                    vocab, values = values
+                    write_strings(fh, vocab)
+                write_tensor(fh, name, values)  # codes are stored as float64
         os.replace(tmp, side)
     except OSError:
         with contextlib.suppress(OSError):
@@ -381,16 +378,15 @@ def _load_file(p, schema: DatasetSchema) -> RawTable:
 def load_csv(path, schema: DatasetSchema, paths_extra=()) -> RawTable:
     """Parse one or more delimited files against the schema's column order.
 
-    A header row is auto-detected by name-match on the first feature column.
-    Every file must be UTF-8 text holding at least one data row, and every
-    numeric cell must parse to a finite number, and no cell may exceed the
-    csv module's field size limit. Errors name the file, the row (data rows
-    are counted from 1 in each file) and the column; a byte that is not UTF-8
-    is named by its file line. Rows are parsed `CSV_BLOCK` at a time,
-    column by column, and a block with a fault is searched row by row, so the
-    error reported is the one in the earliest row. Each file's parse is
-    cached in its sidecar `<file>.lunetcache`, so a file read before is not
-    parsed again (see `_load_file`).
+    A first row naming two feature columns is a header. Every file must be
+    UTF-8 text holding at least one data row, every numeric cell must parse
+    to a finite number, and no cell may exceed the csv module's field size
+    limit. Errors name the file, the row (data rows are counted from 1 in
+    each file) and the column, or the file line of a byte that is not UTF-8.
+    Rows are parsed `CSV_BLOCK` at a time, column by column, and a block
+    with a fault is searched row by row, so the earliest row's error is
+    raised. A file read before comes from its sidecar `<file>.lunetcache`
+    (see `_load_file`). Vocabularies are the union of the files', sorted.
     """
     paths = (path, *paths_extra)
     parts = [_load_file(p, schema) for p in paths]
@@ -400,18 +396,24 @@ def load_csv(path, schema: DatasetSchema, paths_extra=()) -> RawTable:
     for name, kind in schema.feature_columns:
         cols = [t.columns[name] for t in parts]
         if kind != NUMERIC:
-            columns[name] = list(chain.from_iterable(cols))
+            columns[name] = _merged(cols)
             continue
-        col = np.concatenate(cols)
+        columns[name] = col = np.concatenate(cols)
         finite = np.isfinite(col)
         if not finite.all():
             i = int(np.argmin(finite))  # the first non-finite row
             p, start = next((p, start) for p, start in reversed(starts) if start <= i)
             raise DataError(f"{p} row {i - start + 1}, column {name!r}: "
                             f"non-finite numeric cell {float(col[i])!r}")
-        columns[name] = col
-    label_values = list(chain.from_iterable(t.label_values for t in parts))
-    return RawTable(schema=schema, columns=columns, label_values=label_values)
+    return RawTable(schema=schema, columns=columns, labels=_merged([t.labels for t in parts]))
+
+
+def _merged(parts: list) -> tuple[list, np.ndarray]:
+    """Consecutive files' (vocabulary, codes) as one over their sorted union."""
+    vocab = sorted(set().union(*(v for v, _ in parts)))
+    index = {v: i for i, v in enumerate(vocab)}
+    return vocab, np.concatenate([np.array([index[v] for v in v_part], np.intp)[codes]
+                                  for v_part, codes in parts])
 
 
 def _by_halves(fill, out: np.ndarray):
@@ -436,13 +438,11 @@ def _by_halves(fill, out: np.ndarray):
 def encode_categorical(raw: RawTable) -> tuple[np.ndarray, list]:
     """One-hot expand categorical columns in place of their original position.
 
-    Vocabularies are computed over the full table and indicator columns are
-    ordered lexicographically, so the encoded width never varies per fold.
-    Each categorical column becomes an array of its cells' encoded column
-    indices, and the table is then written in blocks of rows of about
-    `layers.BLOCK_BYTES`, which stay in cache while every column writes into
-    them (see `_by_halves`).
-    """
+    Vocabularies are the full table's, sorted by `load_csv`, so the encoded
+    width never varies per fold. A column's codes plus the index of its first
+    indicator column are its cells' encoded column indices. The table is
+    written in blocks of rows of about `layers.BLOCK_BYTES`, which stay in
+    cache while every column writes into them (see `_by_halves`)."""
     n = raw.n_rows
     numeric, codes, encoded_columns = [], [], []
     for name, kind in raw.schema.feature_columns:
@@ -451,11 +451,10 @@ def encode_categorical(raw: RawTable) -> tuple[np.ndarray, list]:
             numeric.append((len(encoded_columns), col))
             encoded_columns.append(name)
             continue
-        vocab = sorted(set(col))
+        vocab, col_codes = col
         if not vocab:
             raise DataError(f"categorical column {name!r} is empty")
-        index = {v: i for i, v in enumerate(vocab, len(encoded_columns))}
-        codes.append(np.fromiter(map(index.__getitem__, col), np.intp, n))
+        codes.append(col_codes + len(encoded_columns))
         encoded_columns.extend(f"{name}={v}" for v in vocab)
     features = np.zeros((n, len(encoded_columns)))
     block = max(1, layers.BLOCK_BYTES // (features.itemsize * features.shape[1]))
@@ -486,13 +485,12 @@ def make_labels(raw: RawTable, task: str) -> tuple[np.ndarray, list]:
         index = {c: i for i, c in enumerate(class_names)}
     else:
         raise ValueError(f"unknown task {task!r}")
-    # each raw value is mapped to its category once, not once per row
-    label_of = {v: index[cat] for v, cat in schema.class_map_multi.items()}
-    try:
-        labels = [label_of[v] for v in raw.label_values]
-    except KeyError as e:
-        raise DataError(f"unmapped label value {e.args[0]!r}") from None
-    return np.array(labels, dtype=np.int64), class_names
+    vocab, codes = raw.labels  # each vocabulary value is looked up once, never a row
+    labels = np.array([index.get(schema.class_map_multi.get(v), -1)  # -1: unmapped
+                       for v in vocab], np.int64)[codes]
+    if (labels < 0).any():  # name the value of the first unmapped row
+        raise DataError(f"unmapped label value {vocab[codes[np.argmin(labels)]]!r}")
+    return labels, class_names
 
 
 def prepare_dataset(raw: RawTable, task: str) -> DatasetTable:
@@ -513,7 +511,9 @@ def fit_standardization(features: np.ndarray, fit_rows: np.ndarray):
     The rows are gathered `FIT_BLOCK` at a time into a buffer behind the
     running sum in its row 0, and an axis-0 reduce adds rows one after
     another into the first, so each block adds on in the order one reduce
-    over all the rows would. No copy of the fit rows is made."""
+    over all the rows would. No copy of the fit rows is made; a `features`
+    that is not C-contiguous is copied once, as `np.take` from it is slow."""
+    features = np.ascontiguousarray(features)
     rows = np.asarray(fit_rows)
     n = len(rows)
     if n == 0:

@@ -128,14 +128,38 @@ class LuNetModel:
         return delta[:, :, 0]
 
     def predict_class(self, x: np.ndarray) -> np.ndarray:
-        """Argmax class per row, computed in infer mode; ties go to the lowest index."""
+        """Argmax class per row, computed in infer mode; ties go to the lowest
+        index. A row whose probabilities are not all finite is never argmaxed:
+        the first such row raises FloatingPointError, naming it (counted from
+        1) and the first layer whose output went non-finite there. numpy's
+        overflow warnings are off, as this check reports them."""
         prev = self.mode
         self.mode = "infer"
         try:
-            probs = self.forward(x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                probs = self.forward(x)
+                finite = np.isfinite(probs).all(axis=1)
+                if not finite.all():
+                    i = int(np.argmin(finite))
+                    raise FloatingPointError(
+                        f"row {i + 1} of {len(x)} has non-finite class probabilities; "
+                        f"{self._first_nonfinite_layer(x, i)} is the first layer "
+                        "whose output went non-finite")
         finally:
             self.mode = prev
         return np.argmax(probs, axis=1)
+
+    def _first_nonfinite_layer(self, x: np.ndarray, i: int) -> str:
+        """The name of the first layer whose infer-mode output for row `i` of
+        `x` is not finite, found by running that row's block again layer by
+        layer, or "softmax" if none is."""
+        start, stop = next(b for b in _infer_blocks(len(x)) if b[0] <= i < b[1])
+        out = x[start:stop, :, None]
+        for layer in self.layers:
+            out = layer.forward(out, mode="infer")
+            if not np.isfinite(out[i - start]).all():
+                return layer.name
+        return "softmax"
 
     def named_params(self):
         for layer in self.layers:

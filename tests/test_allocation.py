@@ -5,6 +5,7 @@ spec, then builds the layers around the stored tensors without drawing a
 weight."""
 
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from lunet import LuNetSpec, build
+from lunet.binio import Reader, write_tensor
 from lunet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from lunet.layers import Conv1D, Dense
 from lunet.model import tensor_shapes
@@ -74,6 +76,25 @@ class TestModelHolds:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * tensor_bytes(model), f"{peak / tensor_bytes(model):.2f}x"
+
+
+class TestReaderTensor:
+    def test_copies_the_stored_data_once(self):
+        # the bytes of one stored tensor are viewed, not sliced, so the peak
+        # is the returned copy plus the finiteness mask (1/8 of it)
+        buf = io.BytesIO()
+        value = Rng(5).normal((1024, 1024))
+        write_tensor(buf, "w", value)
+        reader = Reader("w.bin", buf.getvalue(), ValueError, "tensor file")
+        del buf
+        tracemalloc.start()
+        try:
+            name, got = reader.tensor()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert name == "w" and np.array_equal(got, value) and got.flags.writeable
+        assert peak <= 1.2 * value.nbytes, f"{peak / value.nbytes:.2f}x"
 
 
 class TestGradients:

@@ -5,12 +5,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from lunet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_GRADCHECK, EXIT_OK,
+from lunet import cli
+from lunet.checkpoint import load_checkpoint
+from lunet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_GRADCHECK, EXIT_NUMERIC, EXIT_OK,
                        RunConfig, build_run_config, cmd_gradcheck, main,
                        make_parser, parse_config_file)
 from lunet.layers import Conv1D
+from lunet.train import fit
 from report_parser import parse_report
 
 FAST = ["--dataset", "synthetic", "--task", "binary", "--levels", "8",
@@ -179,6 +183,41 @@ class TestTrainEvaluate:
                     "--output-dir", str(tmp_path / "o")])
         assert code == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    def test_infinite_head_bias_is_numeric_failure_not_class_0(self, trained, tmp_path,
+                                                               monkeypatch, capsys):
+        # every probability row would be NaN, and argmax would call them all
+        # class 0 (normal) with exit 0
+        _, ckpt = trained
+
+        def damaged(path):
+            loaded = load_checkpoint(path)
+            loaded[0].layers[-1].params["b"][...] = np.inf
+            return loaded
+
+        monkeypatch.setattr(cli, "load_checkpoint", damaged)
+        out = tmp_path / "o"
+        code = run(["evaluate", *FAST, "--checkpoint", ckpt, "--output-dir", str(out)])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == ("numeric failure: row 1 of 512 has non-finite class probabilities; "
+                       "head.dense is the first layer whose output went non-finite\n")
+        assert not (out / "report.jsonl").exists()
+
+    def test_non_finite_fold_validation_is_numeric_failure(self, tmp_path, monkeypatch,
+                                                           capsys):
+        def damaged_fit(model, *args, **kwargs):
+            result = fit(model, *args, **kwargs)
+            model.layers[0].params["bias"][1] = np.nan
+            return result
+
+        monkeypatch.setattr(cli, "fit", damaged_fit)
+        code = run(["crossval", *FAST, "--folds", "2", "--epochs", "1",
+                    "--output-dir", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.endswith(
+            "has non-finite class probabilities; level0.conv is the first layer "
+            "whose output went non-finite\n")
 
     def test_task_mismatch_is_config_error(self, trained, tmp_path):
         _, ckpt = trained

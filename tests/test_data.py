@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import os
 import struct
@@ -19,6 +20,19 @@ from lunet.data import (CATEGORICAL, DROP, LABEL, NSL_KDD, NUMERIC, UNSW_NB15,
                         stratified_subsample, synth_dataset)
 
 NSL_ROW = (["0", "tcp", "http", "SF"] + ["0"] * 37)[:41]
+
+
+def coded(values):
+    """Per-row strings as a RawTable (vocabulary, codes) pair, the vocabulary
+    sorted as `load_csv` gives it."""
+    vocab = sorted(set(values))
+    return vocab, np.array([vocab.index(v) for v in values], dtype=np.intp)
+
+
+def decoded(pair):
+    """A (vocabulary, codes) pair as one string per row."""
+    vocab, codes = pair
+    return [vocab[i] for i in codes]
 
 
 def write_nsl_csv(path, rows):
@@ -48,8 +62,8 @@ class TestLoadCsv:
         raw = load_csv(nsl_file, NSL_KDD)
         assert raw.n_rows == 5
         assert "difficulty" not in raw.columns
-        assert raw.label_values == ["normal", "neptune", "satan",
-                                    "guess_passwd", "rootkit"]
+        assert decoded(raw.labels) == ["normal", "neptune", "satan",
+                                       "guess_passwd", "rootkit"]
         assert raw.columns["duration"].tolist() == [0, 0, 0, 3, 0]
 
     def test_column_count_mismatch_names_counts(self, tmp_path):
@@ -82,7 +96,7 @@ class TestLoadCsv:
         raw = load_csv(str(path), UNSW_NB15)
         assert raw.n_rows == 3
         # empty category is benign; legacy spelling is normalized
-        assert raw.label_values == ["Exploits", "Normal", "Backdoor"]
+        assert decoded(raw.labels) == ["Exploits", "Normal", "Backdoor"]
 
     def test_merges_multiple_files(self, tmp_path, nsl_file):
         second = tmp_path / "kdd2.csv"
@@ -190,19 +204,27 @@ def reference_load_csv(path, schema, paths_extra=()):
                 raise DataError(f"{p} row {i - start + 1}, column {name!r}: "
                                 f"non-finite numeric cell {float(col[i])!r}")
             columns[name] = col
-    return RawTable(schema=schema, columns=columns, label_values=label_values)
+        elif kind == CATEGORICAL:
+            columns[name] = coded(columns[name])
+    return RawTable(schema=schema, columns=columns, labels=coded(label_values))
+
+
+def spelled(pair):
+    """A (vocabulary, codes) pair as its vocabulary, the dtype of its codes
+    and one string per row."""
+    return pair[0], pair[1].dtype.str, decoded(pair)
 
 
 def outcome(parse, paths, schema):
-    """What `parse` makes of the files: ("table", columns as bytes or lists,
-    labels) or ("error", message)."""
+    """What `parse` makes of the files: ("table", columns as bytes or spelled
+    out, labels spelled out) or ("error", message)."""
     try:
         raw = parse(paths[0], schema, paths[1:])
     except DataError as e:
         return ("error", str(e))
-    cols = {n: (c.dtype.str, c.tobytes()) if isinstance(c, np.ndarray) else c
+    cols = {n: (c.dtype.str, c.tobytes()) if isinstance(c, np.ndarray) else spelled(c)
             for n, c in raw.columns.items()}
-    return ("table", list(cols), cols, raw.label_values)
+    return ("table", list(cols), cols, spelled(raw.labels))
 
 
 # three features, the label and a dropped column: rows short enough that
@@ -375,10 +397,10 @@ class TestTableCache:
                              ("normal", "3", None), ("smurf", "4", {1: "udp"})])
         raw = load_csv(str(path), NSL_KDD)
         assert parsed == [str(path)]
-        for col in (raw.columns["protocol_type"], raw.columns["service"],
-                    raw.label_values):
+        for pair in (raw.columns["protocol_type"], raw.columns["service"], raw.labels):
             first = {}
-            assert all(first.setdefault(v, v) is v for v in col)
+            assert all(first.setdefault(v, v) is v for v in decoded(pair))
+            assert len(set(pair[0])) == len(pair[0])
         drop_sidecars([str(path)])
         assert outcome(load_csv, [str(path)], NSL_KDD) == \
             outcome(reference_load_csv, [str(path)], NSL_KDD)
@@ -420,7 +442,7 @@ class TestTableCache:
     def test_sidecar_of_another_schema_is_parsed_again_and_rewritten(self, nsl_file,
                                                                      parsed):
         other = replace(NSL_KDD, label_aliases={"neptune": "smurf"})
-        assert load_csv(nsl_file, other).label_values[1] == "smurf"
+        assert decoded(load_csv(nsl_file, other).labels)[1] == "smurf"
         stale = sidecar(nsl_file).read_bytes()
         want = outcome(reference_load_csv, [nsl_file], NSL_KDD)
         assert outcome(load_csv, [nsl_file], NSL_KDD) == want
@@ -452,6 +474,124 @@ class TestTableCache:
         assert "bad.csv row 2, column 'src_bytes'" in errors[0]
 
 
+def csv_strings(paths, schema):
+    """Each categorical column's cells and the labels (aliases mapped), one
+    stripped string per row over the files, read with the csv module."""
+    want = {n: [] for n, k in schema.columns if k in (CATEGORICAL, LABEL)}
+    for p in paths:
+        with open(p, newline="", encoding="utf-8") as fh:
+            for cells in csv.reader(fh):
+                for (name, kind), cell in zip(schema.columns, cells):
+                    if name in want:
+                        cell = cell.strip()
+                        want[name].append(schema.label_aliases.get(cell, cell)
+                                          if kind == LABEL else cell)
+    return want
+
+
+def spelled_table(raw):
+    """`raw`'s categorical columns and labels, each a sorted vocabulary of
+    distinct values and one string per row, decoded from `np.intp` codes."""
+    pairs = {n: c for n, c in raw.columns.items() if not isinstance(c, np.ndarray)}
+    pairs["class_label"] = raw.labels
+    for vocab, codes in pairs.values():
+        assert codes.dtype == np.intp and vocab == sorted(set(vocab))
+    return {n: decoded(pair) for n, pair in pairs.items()}
+
+
+# a fixed file whose sidecar bytes are pinned below
+PINNED_ROWS = [("normal", "20", None),
+               ("neptune", "18", {1: "udp", 2: "private", 3: "S0", 24: "0.25"}),
+               ("normal", "21", {2: "ftp", 4: "491"}),
+               ("smurf", "5", {1: "icmp", 2: "ecr_i", 5: "1032"}),
+               ("neptune", "18", {0: "2", 1: "udp", 2: "private", 3: "S0"})]
+PINNED_SHA256 = "dc64ad2abcefa44cb2404f82eda9366d6a5f741df4faeeb7b933030623bee68c"
+
+
+class TestCodedColumns:
+    """Categorical columns and labels stay (vocabulary, codes) pairs from
+    the parse or the sidecar to the encoded table."""
+
+    def test_cold_and_warm_loads_spell_the_csv_cells(self, tmp_path, nsl_file, parsed):
+        second = tmp_path / "kdd2.csv"
+        write_nsl_csv(second, [("smurf", "3", {1: "icmp", 2: " ecr_i "}),
+                               ("normal", "1", {3: "REJ"})])
+        paths = [nsl_file, str(second)]
+        want = csv_strings(paths, NSL_KDD)
+        for _ in ("cold", "warm"):
+            assert spelled_table(load_csv(nsl_file, NSL_KDD, paths[1:])) == want
+        assert parsed == paths
+
+    def test_a_sidecar_gives_the_codes_it_stores(self, nsl_file, monkeypatch):
+        cold = data._load_file(nsl_file, NSL_KDD)
+        monkeypatch.setattr(data, "_parse_file", None)  # a call would fail
+        warm = data._load_file(nsl_file, NSL_KDD)
+        for name in ("protocol_type", "service", "flag"):
+            (cold_vocab, cold_codes), (vocab, codes) = cold.columns[name], warm.columns[name]
+            assert vocab == cold_vocab and codes.dtype == np.intp
+            np.testing.assert_array_equal(codes, cold_codes)
+        # in order of first appearance, as the file's rows have them
+        assert warm.columns["protocol_type"][0] == ["tcp", "udp", "icmp"]
+        assert warm.labels[0] == ["normal", "neptune", "satan", "guess_passwd", "rootkit"]
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_files_whose_categories_differ_each_way(self, tmp_path, order):
+        files = [tmp_path / "first.csv", tmp_path / "second.csv"]
+        # `private` and `udp` only in the first, `ftp_data` and `icmp` only
+        # in the second, `http` and `tcp` in both
+        write_nsl_csv(files[0], [("normal", "1", {2: "private"}),
+                                 ("neptune", "2", {1: "udp"})])
+        write_nsl_csv(files[1], [("smurf", "3", {1: "icmp", 2: "ftp_data"}),
+                                 ("normal", "4", None)])
+        paths = [str(files[i]) for i in order]
+        want = csv_strings(paths, NSL_KDD)
+        for _ in ("cold", "warm"):
+            raw = load_csv(paths[0], NSL_KDD, paths[1:])
+            assert spelled_table(raw) == want
+            assert raw.columns["service"][0] == ["ftp_data", "http", "private"]
+            assert raw.columns["protocol_type"][0] == ["icmp", "tcp", "udp"]
+            features, cols = encode_categorical(raw)
+            assert_bitwise(features, reference_encode(raw))
+            j = cols.index("service=ftp_data")
+            assert cols[j:j + 3] == ["service=ftp_data", "service=http", "service=private"]
+            assert features[:, j].tolist() == [float(s == "ftp_data") for s in want["service"]]
+
+    def test_unsw_aliases_give_one_code_per_class(self, tmp_path):
+        path = tmp_path / "unsw.csv"
+        names = [n for n, _ in UNSW_NB15.columns]
+        feature_cells = ["1", "0.1", "tcp", "http", "FIN"] + ["1"] * 38
+        labels = ["", "Normal", "Backdoors", "Exploits", " Normal ", "Backdoor"]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(names) + "\n")
+            for label in labels:
+                fh.write(",".join(feature_cells + [label, "0"]) + "\n")
+        for _ in ("cold", "warm"):
+            raw = load_csv(str(path), UNSW_NB15)
+            vocab, codes = raw.labels
+            assert vocab == ["Backdoor", "Exploits", "Normal"]
+            assert codes.tolist() == [2, 2, 0, 1, 2, 0]
+            assert make_labels(raw, "multi")[0].tolist() == [0, 0, 2, 4, 0, 2]
+            assert make_labels(raw, "binary")[0].tolist() == [0, 0, 1, 1, 0, 1]
+        assert data._load_file(str(path), UNSW_NB15).labels[0] == \
+            ["Normal", "Backdoor", "Exploits"]
+
+    def test_unmapped_label_named_is_that_of_the_first_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_nsl_csv(path, [("normal", "1", None), ("zzz", "1", None), ("aaa", "1", None)])
+        with pytest.raises(DataError, match="unmapped label value 'zzz'"):
+            make_labels(load_csv(str(path), NSL_KDD), "binary")
+
+    def test_sidecar_bytes_are_pinned(self, tmp_path):
+        # a change to these bytes is a change of the sidecar format, and must
+        # come with a new CACHE_VERSION (and a new pin)
+        path = tmp_path / "kdd.csv"
+        write_nsl_csv(path, PINNED_ROWS)
+        load_csv(str(path), NSL_KDD)
+        blob = sidecar(path).read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256, \
+            f"sidecar format changed; CACHE_VERSION is {data.CACHE_VERSION}"
+
+
 def reference_encode(raw):
     """One-hot encoding as one block per feature column, then `np.hstack`."""
     blocks = []
@@ -461,6 +601,7 @@ def reference_encode(raw):
         if kind == NUMERIC:
             blocks.append(np.asarray(col, dtype=np.float64).reshape(n, 1))
         else:
+            col = decoded(col)
             vocab = sorted(set(col))
             index = {v: i for i, v in enumerate(vocab)}
             block = np.zeros((n, len(vocab)))
@@ -529,6 +670,25 @@ class TestInPlaceNumerics:
         want[:, const] = 0.0
         assert_bitwise(apply_standardization(x, mean, std), want)
 
+    def test_fit_of_a_strided_view_copies_it_once(self, monkeypatch):
+        # `np.take` gathers slowly from a strided array, so the fit gathers
+        # from one C-contiguous copy, which gives the same bits
+        x = np.random.default_rng(3).normal(1.0, 20.0, size=(1283, 9))
+        view = x[:, :5]
+        want = fit_standardization(np.ascontiguousarray(view), np.arange(0, 1283, 2))
+        sources = []
+        take = np.take
+
+        def spy(a, *args, **kwargs):
+            sources.append(a.flags.c_contiguous)
+            return take(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "take", spy)
+        got = fit_standardization(view, np.arange(0, 1283, 2))
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)
+        assert sources and all(sources)
+
     def test_encode_equals_per_column_blocks(self, nsl_file):
         raw = load_csv(nsl_file, NSL_KDD)
         raw.columns["dst_bytes"][[1, 3]] = -0.0
@@ -558,10 +718,10 @@ def halves_raw(n):
     b = rng.normal(5.0, 1.0, n)
     b[1::4] = 0.0
     order = rng.permutation(n)
-    return RawTable(schema=HALVES_SCHEMA, label_values=["normal"] * n, columns={
+    return RawTable(schema=HALVES_SCHEMA, labels=coded(["normal"] * n), columns={
         "a": a, "b": b, "c": np.where(np.arange(n) % 2, 7.0, 4.25),
-        "proto": [("icmp", "tcp", "udp")[i % 3] for i in order],
-        "flag": [("REJ", "S0", "SF", "SH")[i % 4] for i in order]})
+        "proto": coded([("icmp", "tcp", "udp")[i % 3] for i in order]),
+        "flag": coded([("REJ", "S0", "SF", "SH")[i % 4] for i in order])})
 
 
 class TestByHalves:

@@ -373,9 +373,9 @@ class TestWorker:
 
             def encode_and_standardize(n):
                 columns = {name: np.arange(n, dtype=float) if kind == data.NUMERIC
-                           else [f"v{i % 3}" for i in range(n)]
+                           else (["v0", "v1", "v2"], np.arange(n) % 3)
                            for name, kind in data.NSL_KDD.feature_columns}
-                raw = data.RawTable(data.NSL_KDD, columns, ["normal"] * n)
+                raw = data.RawTable(data.NSL_KDD, columns, (["normal"], np.zeros(n, int)))
                 features, _ = data.encode_categorical(raw)
                 mean, std = data.fit_standardization(features, np.arange(n))
                 data.apply_standardization(features, mean, std)

@@ -24,11 +24,13 @@ def test_block_size_is_a_multiple_of_the_row_quantum():
     assert INFER_CHUNK % 4 == 0
 
 
+@pytest.mark.slow
 def test_forward_is_bitwise_one_pass_over_all_rows():
     mismatch = first_mismatch()
     assert mismatch is None, f"first differing case: {mismatch}"
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("blas_threads", [1, 2])
 def test_forward_is_bitwise_one_pass_at_a_blas_thread_count(blas_threads):
     env = dict(os.environ)
