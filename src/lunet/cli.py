@@ -205,8 +205,10 @@ def make_spec(cfg: RunConfig, input_features: int, num_classes: int,
 
 
 def predict_batched(model, features: np.ndarray) -> np.ndarray:
-    """Predicted class per row (the model runs its infer forward in blocks of
-    `lunet.model.INFER_CHUNK` rows)."""
+    """Predicted class per row. The model runs its infer forward in blocks of
+    `lunet.model.INFER_CHUNK` rows, or, where the `lunet-grads` worker can pay
+    and there is more than one block, in blocks of half that many rows that
+    this thread and the worker share."""
     return model.predict_class(features)
 
 
@@ -246,7 +248,11 @@ def _train_one_fold(cfg: RunConfig, table: DatasetTable, train_idx, val_idx,
     fit(model, x[train_idx], table.labels[train_idx], tc, oc,
         log=lambda record: print(
             '{"fold": %d, "epoch": %d, "loss": %.6f, "train_acc": %.6f}' % (fold, *record)))
-    pred = predict_batched(model, x[val_idx])
+    try:
+        pred = predict_batched(model, x[val_idx])
+    except model_mod.NonFiniteProbabilities as e:
+        raise FloatingPointError(
+            f"fold {fold}: row {int(val_idx[e.row]) + 1} {e.finding}") from None
     cm = confusion(table.labels[val_idx], pred, table.class_names)
     return model, mean, std, cm
 

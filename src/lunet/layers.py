@@ -17,7 +17,12 @@ Where BLAS runs one thread and a second CPU is there (QUEUE_PRODUCTS),
 `Conv1D` and `LSTM` hand independent products to one worker thread
 ("lunet-grads", a one-thread ThreadPoolExecutor made by the first such layer
 call in a process, which keeps itself off the CPU of the thread that hands
-them over), in both modes:
+them over):
+- an infer-mode `LuNetModel.forward` of more than one block shares its
+  blocks of rows with it: the worker runs whole blocks through each layer's
+  class `forward` while the calling thread runs others, and while blocks are
+  in flight neither thread hands over the products below
+  (`_inline_products`);
 - `Conv1D.forward` computes the second half of the batch rows there while
   the calling thread computes the first half, and waits for it;
 - `LSTM.forward` makes the input products of the next block of timesteps
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import os
 import threading
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -82,11 +88,14 @@ class _GradWorker:
     A job only reads arrays that nothing writes until it is done, and writes
     only where nothing reads until then: a forward job into rows or a block
     of its layer's output or gate buffers, which the forward waits for
-    (`_join`); a backward job into its layer's gradient buffers, which
-    `grads` waits for; a `data` job into the second half of the rows of the
-    table its encode or standardize call returns, which that call waits for.
-    It calls no layer, model, train or data function, so wrappers that time
-    those from one thread never see this one."""
+    (`_join`); an infer block job into the probability rows of the blocks it
+    takes, which the model's forward waits for; a backward job into its
+    layer's gradient buffers, which `grads` waits for; a `data` job into the
+    second half of the rows of the table its encode or standardize call
+    returns, which that call waits for. An infer block job runs each layer
+    through its class `forward`, not the instance's attribute, and calls no
+    model, train or data function, so wrappers that time those or a layer
+    instance's `forward` from one thread never see this one."""
 
     def __init__(self):
         # here: at module level it puts `logging` in every `import lunet` (4-12 ms)
@@ -141,12 +150,29 @@ def _worker() -> _GradWorker:
         return _grad_worker
 
 
+# Whether this thread runs its products inline: set while a thread runs
+# infer blocks beside the worker (`_inline_products`), where the worker is
+# busy with blocks of its own.
+_inline = threading.local()
+
+
+@contextmanager
+def _inline_products():
+    """Make `_submit` run every job on this thread until the block exits."""
+    _inline.on = True
+    try:
+        yield
+    finally:
+        _inline.on = False
+
+
 def _submit(fn) -> tuple | None:
     """Start `fn` on the worker and return its future with `fn`, or run it
-    here and return None where the worker cannot pay (QUEUE_PRODUCTS). The
-    worker runs it under the calling thread's numpy error state, so it warns,
-    raises or stays silent as it would here."""
-    if not QUEUE_PRODUCTS:
+    here and return None where the worker cannot pay (QUEUE_PRODUCTS) or this
+    thread runs its products inline (`_inline_products`). The worker runs it
+    under the calling thread's numpy error state, so it warns, raises or
+    stays silent as it would here."""
+    if not QUEUE_PRODUCTS or getattr(_inline, "on", False):
         fn()
         return None
     worker = _worker()

@@ -4,10 +4,14 @@ global average pooling and a softmax classifier head."""
 
 from __future__ import annotations
 
+import threading
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from . import layers as layers_mod
 from .layers import (LSTM, BatchNorm, Conv1D, Dense, Dropout, GlobalAvgPool,
                      Layer, MaxPool1D, ReLU)
 from .tensor import Rng, softmax
@@ -69,20 +73,56 @@ class LuNetSpec:
 # 256/128/64/32 (median of 9 interleaved passes, 2-core host, BLAS 1 thread).
 # Smaller blocks keep more of each layer's working set in cache until
 # per-call overhead wins, and a forward's peak memory is that of one block.
+# Where the calling thread and the worker share a call's blocks, each takes
+# INFER_CHUNK // 2 rows at a time, so that 64 rows are still in flight at
+# once. Alone, a thread keeps 64-row blocks: at 2 BLAS threads (where the
+# worker is off) 32-row blocks ran a 1,024-row forward within noise of
+# 64-row ones (medians 812 against 850 and 776 against 747 rows/s in two
+# rounds of 6 and 12 interleaved passes), so the measured size stays.
 # Blocking keeps every bit of one pass over all rows as long as each block
 # starts at a multiple of 4 rows (the row quantum of the dense head's GEMM
 # on OpenBLAS, float64) and none holds a single row of a larger batch, which
-# numpy hands to GEMV; so the block size is a multiple of 4, and a one-row
+# numpy hands to GEMV; so both block sizes are multiples of 4, and a one-row
 # remainder joins the last block.
 INFER_CHUNK = 64
 
 
-def _infer_blocks(n: int):
-    """(start, stop) of each block of an n-row infer forward."""
-    starts = list(range(0, n, INFER_CHUNK))
-    if n > 1 and n % INFER_CHUNK == 1:
+def _infer_blocks(n: int, rows: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of `rows` rows of an n-row infer forward."""
+    starts = list(range(0, n, rows))
+    if n > 1 and n % rows == 1:
         starts.pop()
-    return zip(starts, starts[1:] + [n])
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of an n-row infer forward: INFER_CHUNK // 2 where the
+    calling thread and the worker share the blocks (`layers.QUEUE_PRODUCTS`
+    holds and there is more than one such block), else INFER_CHUNK."""
+    half = INFER_CHUNK // 2
+    return half if layers_mod.QUEUE_PRODUCTS and len(_infer_blocks(n, half)) > 1 else INFER_CHUNK
+
+
+def _run_blocks(blocks, forwards, x: np.ndarray, probs: np.ndarray, mode: str):
+    """Run each (start, stop) block of rows of `x` through `forwards` (one per
+    layer) and write its softmax rows into `probs`."""
+    for start, stop in blocks:
+        out = x[start:stop, :, None]
+        for forward in forwards:
+            out = forward(out, mode=mode)
+        probs[start:stop] = softmax(out)
+
+
+class NonFiniteProbabilities(FloatingPointError):
+    """Row `row` (counted from 0) of a prediction's `rows` has class
+    probabilities that are not all finite; `finding` says so and names
+    `layer`, the first layer whose output went non-finite there."""
+
+    def __init__(self, row: int, rows: int, layer: str):
+        self.row = row
+        self.finding = (f"has non-finite class probabilities; {layer} is the first layer "
+                        "whose output went non-finite")
+        super().__init__(f"row {row + 1} of {rows} {self.finding}")
 
 
 @dataclass
@@ -99,23 +139,59 @@ class LuNetModel:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """[batch, input_features] -> class-probability rows summing to 1.
 
-        In infer mode the stack runs over blocks of INFER_CHUNK rows, so a
-        forward holds the activations of one block at a time, and each row's
-        probabilities are bitwise those of one pass over all rows. No layer
-        keeps its backward state there, so `backward` after an infer-mode
-        forward raises RuntimeError. Train mode runs the whole batch at once:
-        batch-norm statistics depend on it."""
+        In infer mode the stack runs over blocks of rows (`_block_rows`), so
+        a forward holds the activations of a block at a time, and each row's
+        probabilities are bitwise those of one pass over all rows. Where the
+        worker can pay and the call has more than one block, this thread and
+        the `lunet-grads` worker share the blocks (`_forward_shared`). No
+        layer keeps its backward state there, so `backward` after an
+        infer-mode forward raises RuntimeError. Train mode runs the whole
+        batch at once: batch-norm statistics depend on it."""
         if x.ndim != 2 or x.shape[1] != self.spec.input_features:
             raise ValueError(
                 f"expected [batch, {self.spec.input_features}] input, got {x.shape}")
         n = x.shape[0]
         probs = np.empty((n, self.spec.num_classes))
-        for start, stop in [(0, n)] if self.mode == "train" else _infer_blocks(n):
-            out = x[start:stop, :, None]
-            for layer in self.layers:
-                out = layer.forward(out, mode=self.mode)
-            probs[start:stop] = softmax(out)
+        if self.mode == "train":
+            blocks = [(0, n)]
+        elif _block_rows(n) == INFER_CHUNK:
+            blocks = _infer_blocks(n, INFER_CHUNK)
+        else:
+            self._forward_shared(x, probs)
+            return probs
+        _run_blocks(blocks, [layer.forward for layer in self.layers], x, probs, self.mode)
         return probs
+
+    def _forward_shared(self, x: np.ndarray, probs: np.ndarray):
+        """Infer `x` into `probs` in blocks of INFER_CHUNK // 2 rows, which
+        this thread and the worker take in turn from one queue. While it runs
+        blocks, neither thread hands products to the worker
+        (`layers._inline_products`). The worker calls each layer's class
+        `forward`, so a wrapper on an instance's `forward` sees this thread's
+        blocks alone. A block that raises empties the queue, so the other
+        thread stops after its block; the worker's exception is raised here
+        once both threads are done."""
+        pending, lock = deque(_infer_blocks(len(x), INFER_CHUNK // 2)), threading.Lock()
+
+        def take():
+            with lock:
+                return pending.popleft() if pending else None
+
+        def run(forwards):
+            with layers_mod._inline_products():
+                try:
+                    _run_blocks(iter(take, None), forwards, x, probs, "infer")
+                except BaseException:
+                    with lock:
+                        pending.clear()
+                    raise
+
+        job = layers_mod._submit(
+            partial(run, [partial(type(layer).forward, layer) for layer in self.layers]))
+        try:
+            run([layer.forward for layer in self.layers])
+        finally:
+            layers_mod._join(job)
 
     def backward(self, delta: np.ndarray) -> np.ndarray:
         """Propagate a loss gradient through the stack.
@@ -130,9 +206,10 @@ class LuNetModel:
     def predict_class(self, x: np.ndarray) -> np.ndarray:
         """Argmax class per row, computed in infer mode; ties go to the lowest
         index. A row whose probabilities are not all finite is never argmaxed:
-        the first such row raises FloatingPointError, naming it (counted from
-        1) and the first layer whose output went non-finite there. numpy's
-        overflow warnings are off, as this check reports them."""
+        the first such row raises NonFiniteProbabilities, a FloatingPointError
+        naming it (counted from 1) and the first layer whose output went
+        non-finite there. numpy's overflow warnings are off, as this check
+        reports them."""
         prev = self.mode
         self.mode = "infer"
         try:
@@ -141,10 +218,7 @@ class LuNetModel:
                 finite = np.isfinite(probs).all(axis=1)
                 if not finite.all():
                     i = int(np.argmin(finite))
-                    raise FloatingPointError(
-                        f"row {i + 1} of {len(x)} has non-finite class probabilities; "
-                        f"{self._first_nonfinite_layer(x, i)} is the first layer "
-                        "whose output went non-finite")
+                    raise NonFiniteProbabilities(i, len(x), self._first_nonfinite_layer(x, i))
         finally:
             self.mode = prev
         return np.argmax(probs, axis=1)
@@ -153,7 +227,8 @@ class LuNetModel:
         """The name of the first layer whose infer-mode output for row `i` of
         `x` is not finite, found by running that row's block again layer by
         layer, or "softmax" if none is."""
-        start, stop = next(b for b in _infer_blocks(len(x)) if b[0] <= i < b[1])
+        start, stop = next(b for b in _infer_blocks(len(x), _block_rows(len(x)))
+                           if b[0] <= i < b[1])
         out = x[start:stop, :, None]
         for layer in self.layers:
             out = layer.forward(out, mode="infer")

@@ -219,6 +219,35 @@ class TestTrainEvaluate:
             "has non-finite class probabilities; level0.conv is the first layer "
             "whose output went non-finite\n")
 
+    def test_non_finite_fold_validation_names_the_fold_and_the_table_row(
+            self, tmp_path, monkeypatch, capsys):
+        # every validation row of the first fold that does not hold table row
+        # 1 goes NaN; the first of them is named by its place in the table,
+        # counted from 1, as a standardization error names its row
+        plans, fits, stratified_kfold = [], [], cli.stratified_kfold
+
+        def kept_plan(*args, **kwargs):
+            plans.append(stratified_kfold(*args, **kwargs))
+            return plans[-1]
+
+        def damaged_fit(model, *args, **kwargs):
+            result = fit(model, *args, **kwargs)
+            fits.append(model)
+            if plans[0].val_indices(len(fits) - 1)[0] > 0:
+                model.layers[0].params["bias"][1] = np.nan
+            return result
+
+        monkeypatch.setattr(cli, "stratified_kfold", kept_plan)
+        monkeypatch.setattr(cli, "fit", damaged_fit)
+        code = run(["crossval", *FAST, "--folds", "2", "--epochs", "1",
+                    "--output-dir", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        fold = len(fits) - 1
+        row = int(plans[0].val_indices(fold)[0]) + 1
+        assert capsys.readouterr().err == (
+            f"numeric failure: fold {fold}: row {row} has non-finite class probabilities; "
+            "level0.conv is the first layer whose output went non-finite\n")
+
     def test_task_mismatch_is_config_error(self, trained, tmp_path):
         _, ckpt = trained
         argv = [a for a in FAST]

@@ -1,0 +1,233 @@
+"""Where the `lunet-grads` worker can pay (`layers.QUEUE_PRODUCTS`) and an
+infer forward has more than one block, the calling thread and the worker
+take its blocks of INFER_CHUNK // 2 rows from one queue, each running whole
+blocks through the layer stack with its products inline. The probabilities
+must be bitwise those of an all-inline forward; a wrapper on a layer
+instance's `forward` sees the calling thread alone; a block that raises on
+the worker raises on the calling thread once both have stopped; and no job
+is left on the worker when the forward returns."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from golden_infer import infer_model
+from lunet import layers, model as model_mod
+from lunet.layers import (LSTM, BatchNorm, Conv1D, Dense, Dropout, GlobalAvgPool, MaxPool1D,
+                          ReLU)
+from lunet.model import INFER_CHUNK
+from lunet.tensor import Rng
+
+TESTS = Path(__file__).resolve().parent
+BATCHES = (1, 2, 31, 32, 33, 34, 63, 64, 65, 66, 97, 1024)
+
+
+def shared_mismatch() -> str | None:
+    """The first (classes, rows) case where a forward with blocks on both
+    threads is not bitwise one with every product inline; None if all match."""
+    x = Rng(12).normal((max(BATCHES), 122))
+    queue = layers.QUEUE_PRODUCTS
+    try:
+        for classes in (2, 5):
+            model = infer_model(classes)
+            for rows in BATCHES:
+                layers.QUEUE_PRODUCTS = True
+                shared = model.forward(x[:rows])
+                layers.QUEUE_PRODUCTS = False
+                inline = model.forward(x[:rows])
+                if shared.tobytes() != inline.tobytes():
+                    return (f"classes {classes}, {rows} rows: "
+                            f"{np.count_nonzero(shared != inline)} values differ")
+    finally:
+        layers.QUEUE_PRODUCTS = queue
+    return None
+
+
+def test_shared_block_size_is_a_multiple_of_the_row_quantum():
+    # the dense head's GEMM rounds a row by its place among groups of 4 rows
+    assert (INFER_CHUNK // 2) % 4 == 0
+
+
+def test_blocks_are_shared_only_where_there_are_two(monkeypatch):
+    monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
+    # 33 rows make one block: a one-row remainder joins the last block
+    assert [model_mod._block_rows(n) for n in (1, 32, 33, 34, 1024)] == [64, 64, 64, 32, 32]
+    monkeypatch.setattr(layers, "QUEUE_PRODUCTS", False)
+    assert model_mod._block_rows(1024) == INFER_CHUNK
+
+
+def test_shared_forward_is_bitwise_an_inline_one():
+    mismatch = shared_mismatch()
+    assert mismatch is None, f"first differing case: {mismatch}"
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs a process that may run on 2 CPUs")
+def test_shared_forward_is_bitwise_an_inline_one_at_one_blas_thread():
+    env = dict(os.environ)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS),
+                                         env.get("PYTHONPATH", "")])
+    code = ("from lunet import layers\n"
+            "from test_shared_infer import shared_mismatch\n"
+            "assert layers.QUEUE_PRODUCTS\n"
+            "print(shared_mismatch() or 'ok')\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
+
+
+def spy_on_classes(monkeypatch, spy) -> list:
+    """Replace the class `forward` of every layer kind with a hook that
+    calls `spy(layer)` and then the original, as the worker calls them; the
+    list returned holds how many such calls are in flight."""
+    in_flight, lock = [0], threading.Lock()
+
+    for cls in (Conv1D, ReLU, MaxPool1D, BatchNorm, LSTM, Dropout, GlobalAvgPool, Dense):
+        original = cls.forward
+
+        def forward(self, x, mode="train", original=original):
+            with lock:
+                in_flight[0] += 1
+            try:
+                spy(self)
+                return original(self, x, mode=mode)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(cls, "forward", forward)
+    return in_flight
+
+
+def on_worker() -> bool:
+    return threading.current_thread().name == "lunet-grads"
+
+
+def wait_for_the_worker(monkeypatch, fail_in=None, fail_on_worker=True) -> list:
+    """Hold the calling thread's first block until the worker has entered
+    one of its own, so that both threads run blocks; the worker (or the
+    calling thread) raises ArithmeticError in a layer of kind `fail_in`.
+    Returns the count of layer calls in flight."""
+    entered = threading.Event()
+
+    def spy(layer):
+        if on_worker():
+            entered.set()
+        else:
+            assert entered.wait(timeout=60)
+        if fail_in is not None and isinstance(layer, fail_in) and on_worker() == fail_on_worker:
+            raise ArithmeticError("block failed")
+
+    return spy_on_classes(monkeypatch, spy)
+
+
+def test_instance_wrappers_see_the_calling_thread_alone(monkeypatch):
+    monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
+    model, x = infer_model(2), Rng(5).normal((256, 122))
+    want = infer_model(2).forward(x)
+    wait_for_the_worker(monkeypatch)
+    seen = []
+    for layer in model.layers:  # as bench/spans.py's Tracer.wrap does
+        original = layer.forward
+
+        def wrapper(*args, original=original, **kwargs):
+            seen.append(threading.get_ident())
+            return original(*args, **kwargs)
+
+        setattr(layer, "forward", wrapper)
+    got = model.predict_class(x)
+    assert set(seen) == {threading.get_ident()}
+    # the calling thread ran some of the 8 blocks, not all of them
+    assert 0 < len(seen) < 8 * len(model.layers)
+    np.testing.assert_array_equal(got, np.argmax(want, axis=1))
+
+
+@pytest.mark.parametrize("on_worker", [True, False], ids=["worker-fails", "caller-fails"])
+def test_block_error_is_raised_on_the_calling_thread(monkeypatch, on_worker):
+    monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
+    model, x = infer_model(2), Rng(5).normal((256, 122))
+    want = model.forward(x)
+    in_flight = wait_for_the_worker(monkeypatch, fail_in=LSTM, fail_on_worker=on_worker)
+    heads, dense_forward = [], Dense.forward
+
+    def head(self, x, mode="train"):
+        heads.append(threading.current_thread().name)
+        return dense_forward(self, x, mode=mode)
+
+    monkeypatch.setattr(Dense, "forward", head)
+    with pytest.raises(ArithmeticError, match="block failed"):
+        model.predict_class(x)
+    # both threads stopped before the error reached this one
+    assert in_flight[0] == 0
+    assert layers._grad_worker.pool._work_queue.empty()
+    # the failure emptied the queue: the other thread did not run the rest
+    # of the 8 blocks
+    assert len(heads) < 7
+    monkeypatch.undo()
+    monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
+    np.testing.assert_array_equal(model.forward(x), want)
+    assert [t.name for t in threading.enumerate()].count("lunet-grads") == 1
+
+
+def test_no_job_is_left_on_the_worker(monkeypatch):
+    monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
+    model, x = infer_model(2), Rng(5).normal((256, 122))
+    wait_for_the_worker(monkeypatch)
+    submit, queued = layers._submit, []
+
+    def recording(fn):
+        job = submit(fn)
+        if job is not None:
+            queued.append(job[0])
+        return job
+
+    monkeypatch.setattr(layers, "_submit", recording)
+    model.predict_class(x)
+    # the one block job: each thread ran its own products inline
+    assert len(queued) == 1 and queued[0].done()
+    assert layers._grad_worker.pool._work_queue.empty()
+
+
+def test_many_threads_sharing_blocks_get_the_inline_bits(monkeypatch):
+    # each thread's forward queues a block job on the one worker, which runs
+    # them one at a time; a thread whose job the worker has not started
+    # takes every block itself and then runs the job, which finds none left
+    spec = model_mod.LuNetSpec(input_features=40, num_classes=2, levels=(8, 16))
+    x = Rng(3).normal((100, 40))  # blocks of 32, 32, 32 and 4 rows
+
+    def small_model():
+        model = model_mod.build(spec)
+        model.set_mode("infer")
+        return model
+
+    monkeypatch.setattr(layers, "QUEUE_PRODUCTS", False)
+    want = small_model().forward(x)
+    monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
+    seen = []
+
+    def forwards():
+        model = small_model()
+        seen.extend(np.array_equal(model.forward(x), want) for _ in range(20))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=forwards)
+                   for _ in range(2 * (os.cpu_count() or 1) + 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 20 * len(threads) and all(seen)
+    assert layers._grad_worker.pool._work_queue.empty()
