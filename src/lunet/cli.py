@@ -206,9 +206,8 @@ def make_spec(cfg: RunConfig, input_features: int, num_classes: int,
 
 def predict_batched(model, features: np.ndarray) -> np.ndarray:
     """Predicted class per row. The model runs its infer forward in blocks of
-    `lunet.model.INFER_CHUNK` rows, or, where the `lunet-grads` worker can pay
-    and there is more than one block, in blocks of half that many rows that
-    this thread and the worker share."""
+    `lunet.model.INFER_CHUNK` rows, which this thread and the `lunet-grads`
+    worker share where the worker can pay and there is more than one."""
     return model.predict_class(features)
 
 

@@ -166,13 +166,19 @@ def _inline_products():
         _inline.on = False
 
 
+def _queues() -> bool:
+    """Whether `_submit` hands a job to the worker: the worker can pay
+    (QUEUE_PRODUCTS) and this thread does not run its products inline
+    (`_inline_products`)."""
+    return QUEUE_PRODUCTS and not getattr(_inline, "on", False)
+
+
 def _submit(fn) -> tuple | None:
     """Start `fn` on the worker and return its future with `fn`, or run it
-    here and return None where the worker cannot pay (QUEUE_PRODUCTS) or this
-    thread runs its products inline (`_inline_products`). The worker runs it
-    under the calling thread's numpy error state, so it warns, raises or
-    stays silent as it would here."""
-    if not QUEUE_PRODUCTS or getattr(_inline, "on", False):
+    here and return None where it would not be queued (`_queues`). The worker
+    runs it under the calling thread's numpy error state, so it warns, raises
+    or stays silent as it would here."""
+    if not _queues():
         fn()
         return None
     worker = _worker()
@@ -474,10 +480,12 @@ class LSTM(Layer):
     timesteps at once. A forward writes each h(t) straight into its
     batch-major output. Train mode keeps that output, every step's gate
     activations and every cell state (time-major, [length, batch, .]) for
-    backward. Besides its output an infer-mode forward holds two blocks of
-    gate pre-activations (about BLOCK_BYTES each), the input rows of the
-    block being made, and a few [batch, cells] rows: the zero h(-1), the cell
-    state, a gate product and a step's h @ W.
+    backward. Besides its output an infer-mode forward holds one block of
+    gate pre-activations (about BLOCK_BYTES), or two where the worker makes
+    the next block while this thread steps through the current one
+    (`_queues`), the input rows of the block being made, a step's h @ W
+    [batch, 4 * cells] and a few [batch, cells] rows: the zero h(-1), the
+    cell state and the g pre-activation.
     """
 
     def __init__(self, in_dim: int, cells: int, rng: Rng, name: str = "lstm"):
@@ -499,21 +507,25 @@ class LSTM(Layer):
         c, p = self.cells, self.params
         train = mode == "train"
         # Time-major, so each step reads and writes contiguous rows. The input
-        # products b + x(t) @ U are made a block of about BLOCK_BYTES
-        # of timesteps at a time, each block's on the worker while the steps
-        # of the block before it run here. A block's rows are overwritten at
-        # their steps with the gate activations
-        # sigmoid(p) | tanh(g) | sigmoid(f) | sigmoid(q). Backward reads every
-        # step's activations, so train writes each block into its place in
-        # the full-length gates; infer alternates two block buffers. A
+        # products b + x(t) @ U are made a block of about BLOCK_BYTES of
+        # timesteps at a time. Where `_submit` queues, each block's are made
+        # on the worker while the steps of the block before it run here;
+        # otherwise each block's are made here just before its steps. A
+        # block's rows are overwritten at their steps with the gate
+        # activations sigmoid(p) | tanh(g) | sigmoid(f) | sigmoid(q).
+        # Backward reads every step's activations, so train writes each block
+        # into its place in the full-length gates; infer alternates two block
+        # buffers where the worker makes the products, else reuses one. A
         # one-row product would go to GEMV and round differently, so one
         # sequence alone keeps a single block.
+        ahead = _queues()
         block = length if b == 1 else min(length, max(1, BLOCK_BYTES // (b * 4 * c * 8)))
-        gates = np.empty((length if train else min(length, 2 * block), b, 4 * c))
+        gates = np.empty((length if train else min(length, (2 if ahead else 1) * block),
+                          b, 4 * c))
 
         def block_at(t0):
             """The gate rows of the block that starts at step t0."""
-            k0 = t0 if train else t0 % (2 * block)
+            k0 = t0 % len(gates)
             return gates[k0:k0 + min(block, length - t0)]
 
         def products(t0):
@@ -525,26 +537,28 @@ class LSTM(Layer):
         # h(t) goes straight into out[:, t], and the next step's h @ W reads
         # it there: a strided row rounds as a contiguous one
         out = np.empty((b, length, c))
-        h, h_rows = np.zeros((b, c)), out.transpose(1, 0, 2)
+        h, h_rows, w = np.zeros((b, c)), out.transpose(1, 0, 2), p["W"]
         # train keeps every s(t) for backward; infer updates one row in place
         ss = np.zeros((length + 1 if train else 1, b, c))
-        ig = np.empty((b, c))
-        products(0)
+        g = np.empty((b, c))  # the g pre-activation, then sigmoid(p) * tanh(g)
         for t0 in range(0, length, block):
-            job = _submit(partial(products, t0 + block)) if t0 + block < length else None
+            if t0 == 0 or not ahead:
+                products(t0)
+            job = _submit(partial(products, t0 + block)) if ahead and t0 + block < length else None
             for t, z in enumerate(block_at(t0), start=t0):
-                z += h @ p["W"]
-                i_g, g_g, f_q = z[:, :c], z[:, c:2 * c], z[:, 2 * c:]
-                sigmoid(i_g, out=i_g)
-                np.tanh(g_g, out=g_g)
-                sigmoid(f_q, out=f_q)
-                f_g, q_g = f_q[:, :c], f_q[:, c:]
+                # 15 numpy calls a step: one sigmoid over the whole gate row,
+                # then tanh of the copied g pre-activation into its slot
+                z += h @ w
+                g_g = z[:, c:2 * c]
+                np.copyto(g, g_g)
+                sigmoid(z, out=z)
+                np.tanh(g, out=g_g)
                 s_prev, s, h = ss[t % len(ss)], ss[(t + 1) % len(ss)], h_rows[t]
-                np.multiply(f_g, s_prev, out=s)
-                np.multiply(i_g, g_g, out=ig)
-                s += ig
+                np.multiply(z[:, 2 * c:3 * c], s_prev, out=s)
+                np.multiply(z[:, :c], g_g, out=g)
+                s += g
                 np.tanh(s, out=h)
-                h *= q_g
+                h *= z[:, 3 * c:]
             _join(job)
         self._cache = (x, gates, out, ss) if train else None
         return out

@@ -73,16 +73,17 @@ class LuNetSpec:
 # 256/128/64/32 (median of 9 interleaved passes, 2-core host, BLAS 1 thread).
 # Smaller blocks keep more of each layer's working set in cache until
 # per-call overhead wins, and a forward's peak memory is that of one block.
-# Where the calling thread and the worker share a call's blocks, each takes
-# INFER_CHUNK // 2 rows at a time, so that 64 rows are still in flight at
-# once. Alone, a thread keeps 64-row blocks: at 2 BLAS threads (where the
-# worker is off) 32-row blocks ran a 1,024-row forward within noise of
-# 64-row ones (medians 812 against 850 and 776 against 747 rows/s in two
-# rounds of 6 and 12 interleaved passes), so the measured size stays.
+# Where the calling thread and the worker share a call's blocks, each thread
+# takes blocks of this size too. A block's LSTM steps make 15 numpy calls at
+# each of the 102 paper-width timesteps whatever its rows, and each call may
+# hand the GIL to the other thread, so 32-row blocks paid twice the calls a
+# row. With one sigmoid per LSTM timestep, moving from 32 to 64 rows a
+# thread ran evaluate-nslkdd at a median 1,219 against 1,046 rows/s over 10
+# alternating pairs (2-core host, BLAS 1 thread), for 3.3 MiB more peak RSS.
 # Blocking keeps every bit of one pass over all rows as long as each block
 # starts at a multiple of 4 rows (the row quantum of the dense head's GEMM
 # on OpenBLAS, float64) and none holds a single row of a larger batch, which
-# numpy hands to GEMV; so both block sizes are multiples of 4, and a one-row
+# numpy hands to GEMV; so the block size is a multiple of 4, and a one-row
 # remainder joins the last block.
 INFER_CHUNK = 64
 
@@ -93,14 +94,6 @@ def _infer_blocks(n: int, rows: int) -> list[tuple[int, int]]:
     if n > 1 and n % rows == 1:
         starts.pop()
     return list(zip(starts, starts[1:] + [n]))
-
-
-def _block_rows(n: int) -> int:
-    """Rows per block of an n-row infer forward: INFER_CHUNK // 2 where the
-    calling thread and the worker share the blocks (`layers.QUEUE_PRODUCTS`
-    holds and there is more than one such block), else INFER_CHUNK."""
-    half = INFER_CHUNK // 2
-    return half if layers_mod.QUEUE_PRODUCTS and len(_infer_blocks(n, half)) > 1 else INFER_CHUNK
 
 
 def _run_blocks(blocks, forwards, x: np.ndarray, probs: np.ndarray, mode: str):
@@ -139,7 +132,7 @@ class LuNetModel:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """[batch, input_features] -> class-probability rows summing to 1.
 
-        In infer mode the stack runs over blocks of rows (`_block_rows`), so
+        In infer mode the stack runs over blocks of INFER_CHUNK rows, so
         a forward holds the activations of a block at a time, and each row's
         probabilities are bitwise those of one pass over all rows. Where the
         worker can pay and the call has more than one block, this thread and
@@ -152,18 +145,15 @@ class LuNetModel:
                 f"expected [batch, {self.spec.input_features}] input, got {x.shape}")
         n = x.shape[0]
         probs = np.empty((n, self.spec.num_classes))
-        if self.mode == "train":
-            blocks = [(0, n)]
-        elif _block_rows(n) == INFER_CHUNK:
-            blocks = _infer_blocks(n, INFER_CHUNK)
+        blocks = [(0, n)] if self.mode == "train" else _infer_blocks(n, INFER_CHUNK)
+        if len(blocks) > 1 and layers_mod.QUEUE_PRODUCTS:
+            self._forward_shared(blocks, x, probs)
         else:
-            self._forward_shared(x, probs)
-            return probs
-        _run_blocks(blocks, [layer.forward for layer in self.layers], x, probs, self.mode)
+            _run_blocks(blocks, [layer.forward for layer in self.layers], x, probs, self.mode)
         return probs
 
-    def _forward_shared(self, x: np.ndarray, probs: np.ndarray):
-        """Infer `x` into `probs` in blocks of INFER_CHUNK // 2 rows, which
+    def _forward_shared(self, blocks, x: np.ndarray, probs: np.ndarray):
+        """Infer `x` into `probs` over its (start, stop) `blocks` of rows, which
         this thread and the worker take in turn from one queue. While it runs
         blocks, neither thread hands products to the worker
         (`layers._inline_products`). The worker calls each layer's class
@@ -171,7 +161,7 @@ class LuNetModel:
         blocks alone. A block that raises empties the queue, so the other
         thread stops after its block; the worker's exception is raised here
         once both threads are done."""
-        pending, lock = deque(_infer_blocks(len(x), INFER_CHUNK // 2)), threading.Lock()
+        pending, lock = deque(blocks), threading.Lock()
 
         def take():
             with lock:
@@ -227,7 +217,7 @@ class LuNetModel:
         """The name of the first layer whose infer-mode output for row `i` of
         `x` is not finite, found by running that row's block again layer by
         layer, or "softmax" if none is."""
-        start, stop = next(b for b in _infer_blocks(len(x), _block_rows(len(x)))
+        start, stop = next(b for b in _infer_blocks(len(x), INFER_CHUNK)
                            if b[0] <= i < b[1])
         out = x[start:stop, :, None]
         for layer in self.layers:

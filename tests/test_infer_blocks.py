@@ -57,3 +57,22 @@ def test_prediction_peak_does_not_grow_with_the_rows():
     one_block = traced_peak(lambda: model.forward(x[:INFER_CHUNK]))
     all_rows = traced_peak(lambda: model.predict_class(x))
     assert all_rows <= 2 * one_block, f"{all_rows} bytes against {one_block} for one block"
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs a process that may run on 2 CPUs")
+def test_prediction_peak_does_not_grow_with_the_rows_at_one_blas_thread():
+    # the worker is on there, so the calling thread and the worker each hold
+    # a block of their own
+    env = dict(os.environ)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS),
+                                         env.get("PYTHONPATH", "")])
+    code = ("from lunet import layers\n"
+            "from test_infer_blocks import test_prediction_peak_does_not_grow_with_the_rows\n"
+            "assert layers.QUEUE_PRODUCTS\n"
+            "test_prediction_peak_does_not_grow_with_the_rows()\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr

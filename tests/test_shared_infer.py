@@ -1,6 +1,6 @@
 """Where the `lunet-grads` worker can pay (`layers.QUEUE_PRODUCTS`) and an
 infer forward has more than one block, the calling thread and the worker
-take its blocks of INFER_CHUNK // 2 rows from one queue, each running whole
+take its blocks of INFER_CHUNK rows from one queue, each running whole
 blocks through the layer stack with its products inline. The probabilities
 must be bitwise those of an all-inline forward; a wrapper on a layer
 instance's `forward` sees the calling thread alone; a block that raises on
@@ -24,7 +24,8 @@ from lunet.model import INFER_CHUNK
 from lunet.tensor import Rng
 
 TESTS = Path(__file__).resolve().parent
-BATCHES = (1, 2, 31, 32, 33, 34, 63, 64, 65, 66, 97, 1024)
+BATCHES = (1, 2, 31, 32, 33, 34, 63, 64, 65, 66, 97, 127, 128, 129, 130, 191, 192, 193, 194,
+           1024)
 
 
 def shared_mismatch() -> str | None:
@@ -48,17 +49,33 @@ def shared_mismatch() -> str | None:
     return None
 
 
-def test_shared_block_size_is_a_multiple_of_the_row_quantum():
-    # the dense head's GEMM rounds a row by its place among groups of 4 rows
-    assert (INFER_CHUNK // 2) % 4 == 0
-
-
-def test_blocks_are_shared_only_where_there_are_two(monkeypatch):
+def test_blocks_of_infer_chunk_rows_are_shared_where_there_are_two(monkeypatch):
     monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
-    # 33 rows make one block: a one-row remainder joins the last block
-    assert [model_mod._block_rows(n) for n in (1, 32, 33, 34, 1024)] == [64, 64, 64, 32, 32]
-    monkeypatch.setattr(layers, "QUEUE_PRODUCTS", False)
-    assert model_mod._block_rows(1024) == INFER_CHUNK
+    model, x = infer_model(2), Rng(7).normal((257, 122))
+    shared, forward_shared = [], model_mod.LuNetModel._forward_shared
+
+    def recording(self, blocks, x, probs):
+        shared.append((len(x), blocks))
+        return forward_shared(self, blocks, x, probs)
+
+    monkeypatch.setattr(model_mod.LuNetModel, "_forward_shared", recording)
+    for rows in (1, 64, 65, 66, 129, 130):
+        model.forward(x[:rows])
+    # a one-row remainder joins the last block, so 65 rows make one block
+    assert shared == [(66, [(0, 64), (64, 66)]), (129, [(0, 64), (64, 129)]),
+                      (130, [(0, 64), (64, 128), (128, 130)])]
+    # the calling thread's blocks, as an instance wrapper sees them (as
+    # bench/spans.py's Tracer.wrap does): whole blocks of INFER_CHUNK rows,
+    # and the 65-row last one
+    rows_seen, conv_forward = [], model.layers[0].forward
+
+    def wrapper(x, mode="train"):
+        rows_seen.append(len(x))
+        return conv_forward(x, mode=mode)
+
+    model.layers[0].forward = wrapper
+    model.forward(x)
+    assert rows_seen and set(rows_seen) <= {INFER_CHUNK, 65}
 
 
 def test_shared_forward_is_bitwise_an_inline_one():
@@ -131,7 +148,7 @@ def wait_for_the_worker(monkeypatch, fail_in=None, fail_on_worker=True) -> list:
 
 def test_instance_wrappers_see_the_calling_thread_alone(monkeypatch):
     monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
-    model, x = infer_model(2), Rng(5).normal((256, 122))
+    model, x = infer_model(2), Rng(5).normal((512, 122))
     want = infer_model(2).forward(x)
     wait_for_the_worker(monkeypatch)
     seen = []
@@ -153,7 +170,7 @@ def test_instance_wrappers_see_the_calling_thread_alone(monkeypatch):
 @pytest.mark.parametrize("on_worker", [True, False], ids=["worker-fails", "caller-fails"])
 def test_block_error_is_raised_on_the_calling_thread(monkeypatch, on_worker):
     monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
-    model, x = infer_model(2), Rng(5).normal((256, 122))
+    model, x = infer_model(2), Rng(5).normal((512, 122))
     want = model.forward(x)
     in_flight = wait_for_the_worker(monkeypatch, fail_in=LSTM, fail_on_worker=on_worker)
     heads, dense_forward = [], Dense.forward
@@ -201,7 +218,7 @@ def test_many_threads_sharing_blocks_get_the_inline_bits(monkeypatch):
     # them one at a time; a thread whose job the worker has not started
     # takes every block itself and then runs the job, which finds none left
     spec = model_mod.LuNetSpec(input_features=40, num_classes=2, levels=(8, 16))
-    x = Rng(3).normal((100, 40))  # blocks of 32, 32, 32 and 4 rows
+    x = Rng(3).normal((100, 40))  # blocks of 64 and 36 rows
 
     def small_model():
         model = model_mod.build(spec)

@@ -26,13 +26,19 @@ class TestActivations:
         np.testing.assert_array_equal(sigmoid(np.array([0.0])), [0.5])
         # edge and wide inputs, element by element against the two-branch
         # formula: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
-        edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 745.0, -745.0,
+                          709.8, -709.8, 5e-324, -5e-324])
         x = np.concatenate([edges] + [Rng(1).normal([200]) * k for k in (1, 10, 800)])
         got = sigmoid(x)
         for xi, gi in zip(x, got):
             one = np.array([xi])
             want = 1.0 / (1.0 + np.exp(-one)) if xi >= 0 else np.exp(one) / (1.0 + np.exp(one))
             np.testing.assert_array_equal([gi], want)
+
+    def test_sigmoid_takes_float64_only(self):
+        # it sets the sign bit of each element through a uint64 view
+        with pytest.raises(TypeError, match="float32"):
+            sigmoid(np.zeros(4, np.float32))
 
     def test_ranges(self):
         x = np.linspace(-30, 30, 201)
