@@ -14,15 +14,12 @@ adds its taps into its output through one buffer per block of batch rows
 kept for backward.
 
 Where BLAS runs one thread and a second CPU is there (QUEUE_PRODUCTS),
-`Conv1D` and `LSTM` hand independent products to one worker thread
-("lunet-grads", a one-thread ThreadPoolExecutor made by the first such layer
-call in a process, which keeps itself off the CPU of the thread that hands
-them over):
-- an infer-mode `LuNetModel.forward` of more than one block shares its
-  blocks of rows with it: the worker runs whole blocks through each layer's
-  class `forward` while the calling thread runs others, and while blocks are
-  in flight neither thread hands over the products below
-  (`_inline_products`);
+independent work goes to one worker thread ("lunet-grads", a one-thread
+ThreadPoolExecutor made at the first hand-over in a process, which keeps
+itself off the CPU of the thread that hands work over). In infer mode a
+layer hands nothing over: an infer-mode `LuNetModel.forward` shares its
+blocks of rows with the worker, which runs whole blocks through each
+layer's class `forward` while the calling thread runs others. In train mode:
 - `Conv1D.forward` computes the second half of the batch rows there while
   the calling thread computes the first half, and waits for it;
 - `LSTM.forward` makes the input products of the next block of timesteps
@@ -37,16 +34,15 @@ them over):
 Each product keeps the shape, operands and accumulation order it has inline,
 so every output and gradient is bitwise that of a single-threaded pass. A
 forward waits for its own products, or cancels one the worker has not
-started and makes it itself, and raises any exception they raised. The
-thread is not a daemon: interpreter exit lets it finish what it holds and
-joins it.
+started and makes it itself, and raises any exception they raised, also
+when its own thread raised first. The thread is not a daemon: interpreter
+exit lets it finish what it holds and joins it.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -56,7 +52,7 @@ from .tensor import Rng, sigmoid
 # Bytes a forward makes at a time for a block of its work: the LSTM gate
 # pre-activations of a block of timesteps (at least one step), and the
 # conv tap products of a block of batch rows (at least one row; half the
-# budget for each of the two threads that may split the rows). Measured
+# budget for each of the two threads that may run convs at once). Measured
 # for the LSTM at the paper widths (Xeon with 2 MiB of L2 per core, BLAS 1
 # thread): from 128 KiB to 2 MiB a 256-row forward's rows/s is flat within
 # noise, and at 4 MiB a 64-row forward's peak grows. 1 MiB keeps a block in
@@ -86,8 +82,8 @@ class _GradWorker:
     ThreadPoolExecutor, which runs jobs one at a time, in submit order.
 
     A job only reads arrays that nothing writes until it is done, and writes
-    only where nothing reads until then: a forward job into rows or a block
-    of its layer's output or gate buffers, which the forward waits for
+    only where nothing reads until then: a train forward job into rows or a
+    block of its layer's output or gate buffers, which the forward waits for
     (`_join`); an infer block job into the probability rows of the blocks it
     takes, which the model's forward waits for; a backward job into its
     layer's gradient buffers, which `grads` waits for; a `data` job into the
@@ -150,35 +146,12 @@ def _worker() -> _GradWorker:
         return _grad_worker
 
 
-# Whether this thread runs its products inline: set while a thread runs
-# infer blocks beside the worker (`_inline_products`), where the worker is
-# busy with blocks of its own.
-_inline = threading.local()
-
-
-@contextmanager
-def _inline_products():
-    """Make `_submit` run every job on this thread until the block exits."""
-    _inline.on = True
-    try:
-        yield
-    finally:
-        _inline.on = False
-
-
-def _queues() -> bool:
-    """Whether `_submit` hands a job to the worker: the worker can pay
-    (QUEUE_PRODUCTS) and this thread does not run its products inline
-    (`_inline_products`)."""
-    return QUEUE_PRODUCTS and not getattr(_inline, "on", False)
-
-
 def _submit(fn) -> tuple | None:
     """Start `fn` on the worker and return its future with `fn`, or run it
-    here and return None where it would not be queued (`_queues`). The worker
-    runs it under the calling thread's numpy error state, so it warns, raises
-    or stays silent as it would here."""
-    if not _queues():
+    here and return None where the worker cannot pay (QUEUE_PRODUCTS). The
+    worker runs it under the calling thread's numpy error state, so it warns,
+    raises or stays silent as it would here."""
+    if not QUEUE_PRODUCTS:
         fn()
         return None
     worker = _worker()
@@ -310,9 +283,14 @@ class Conv1D(Layer):
                     tap(x[r0:r0 + len(o), j:j + l_out, :], taps[j], out=t)
                     o += t
 
-        job = _submit(partial(rows, b // 2, b))
-        rows(0, b // 2)
-        _join(job)
+        if mode == "train":
+            job = _submit(partial(rows, b // 2, b))
+            try:
+                rows(0, b // 2)
+            finally:
+                _join(job)
+        else:
+            rows(0, b)
         self._cache = (x, l_out) if mode == "train" else None
         return out
 
@@ -481,11 +459,9 @@ class LSTM(Layer):
     batch-major output. Train mode keeps that output, every step's gate
     activations and every cell state (time-major, [length, batch, .]) for
     backward. Besides its output an infer-mode forward holds one block of
-    gate pre-activations (about BLOCK_BYTES), or two where the worker makes
-    the next block while this thread steps through the current one
-    (`_queues`), the input rows of the block being made, a step's h @ W
-    [batch, 4 * cells] and a few [batch, cells] rows: the zero h(-1), the
-    cell state and the g pre-activation.
+    gate pre-activations (about BLOCK_BYTES), the input rows of that block,
+    a step's h @ W [batch, 4 * cells] and a few [batch, cells] rows: the
+    zero h(-1), the cell state and the g pre-activation.
     """
 
     def __init__(self, in_dim: int, cells: int, rng: Rng, name: str = "lstm"):
@@ -508,20 +484,18 @@ class LSTM(Layer):
         train = mode == "train"
         # Time-major, so each step reads and writes contiguous rows. The input
         # products b + x(t) @ U are made a block of about BLOCK_BYTES of
-        # timesteps at a time. Where `_submit` queues, each block's are made
-        # on the worker while the steps of the block before it run here;
-        # otherwise each block's are made here just before its steps. A
-        # block's rows are overwritten at their steps with the gate
+        # timesteps at a time. In train mode where the worker can pay, each
+        # block's are made on the worker while the steps of the block before
+        # it run here; otherwise each block's are made here just before its
+        # steps. A block's rows are overwritten at their steps with the gate
         # activations sigmoid(p) | tanh(g) | sigmoid(f) | sigmoid(q).
         # Backward reads every step's activations, so train writes each block
-        # into its place in the full-length gates; infer alternates two block
-        # buffers where the worker makes the products, else reuses one. A
-        # one-row product would go to GEMV and round differently, so one
-        # sequence alone keeps a single block.
-        ahead = _queues()
+        # into its place in the full-length gates; infer reuses one block
+        # buffer. A one-row product would go to GEMV and round differently,
+        # so one sequence alone keeps a single block.
+        ahead = train and QUEUE_PRODUCTS
         block = length if b == 1 else min(length, max(1, BLOCK_BYTES // (b * 4 * c * 8)))
-        gates = np.empty((length if train else min(length, (2 if ahead else 1) * block),
-                          b, 4 * c))
+        gates = np.empty((length if train else min(length, block), b, 4 * c))
 
         def block_at(t0):
             """The gate rows of the block that starts at step t0."""
@@ -545,21 +519,23 @@ class LSTM(Layer):
             if t0 == 0 or not ahead:
                 products(t0)
             job = _submit(partial(products, t0 + block)) if ahead and t0 + block < length else None
-            for t, z in enumerate(block_at(t0), start=t0):
-                # 15 numpy calls a step: one sigmoid over the whole gate row,
-                # then tanh of the copied g pre-activation into its slot
-                z += h @ w
-                g_g = z[:, c:2 * c]
-                np.copyto(g, g_g)
-                sigmoid(z, out=z)
-                np.tanh(g, out=g_g)
-                s_prev, s, h = ss[t % len(ss)], ss[(t + 1) % len(ss)], h_rows[t]
-                np.multiply(z[:, 2 * c:3 * c], s_prev, out=s)
-                np.multiply(z[:, :c], g_g, out=g)
-                s += g
-                np.tanh(s, out=h)
-                h *= z[:, 3 * c:]
-            _join(job)
+            try:
+                for t, z in enumerate(block_at(t0), start=t0):
+                    # 15 numpy calls a step: one sigmoid over the whole gate
+                    # row, then tanh of the copied g pre-activation into its slot
+                    z += h @ w
+                    g_g = z[:, c:2 * c]
+                    np.copyto(g, g_g)
+                    sigmoid(z, out=z)
+                    np.tanh(g, out=g_g)
+                    s_prev, s, h = ss[t % len(ss)], ss[(t + 1) % len(ss)], h_rows[t]
+                    np.multiply(z[:, 2 * c:3 * c], s_prev, out=s)
+                    np.multiply(z[:, :c], g_g, out=g)
+                    s += g
+                    np.tanh(s, out=h)
+                    h *= z[:, 3 * c:]
+            finally:
+                _join(job)
         self._cache = (x, gates, out, ss) if train else None
         return out
 

@@ -80,10 +80,17 @@ class LuNetSpec:
 # row. With one sigmoid per LSTM timestep, moving from 32 to 64 rows a
 # thread ran evaluate-nslkdd at a median 1,219 against 1,046 rows/s over 10
 # alternating pairs (2-core host, BLAS 1 thread), for 3.3 MiB more peak RSS.
+# Where the threads share blocks, a call of 16 to 2 x INFER_CHUNK rows is cut
+# in two instead, so that both threads work on it (`LuNetModel.forward`). A
+# smaller call runs as one block on the calling thread: the two threads
+# contend for the GIL on small numpy calls, and at paper widths (BLAS 1,
+# 2-core Xeon) a cut call of 6, 8 and 12 rows took 19.4, 22.4 and 27.4 ms
+# against 15.1, 18.2 and 24.8 as one block; 16 rows took 31.0 against 32.2,
+# and 24 rows 42.1 against 48.7.
 # Blocking keeps every bit of one pass over all rows as long as each block
 # starts at a multiple of 4 rows (the row quantum of the dense head's GEMM
 # on OpenBLAS, float64) and none holds a single row of a larger batch, which
-# numpy hands to GEMV; so the block size is a multiple of 4, and a one-row
+# numpy hands to GEMV; so every block size is a multiple of 4, and a one-row
 # remainder joins the last block.
 INFER_CHUNK = 64
 
@@ -132,20 +139,24 @@ class LuNetModel:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """[batch, input_features] -> class-probability rows summing to 1.
 
-        In infer mode the stack runs over blocks of INFER_CHUNK rows, so
-        a forward holds the activations of a block at a time, and each row's
-        probabilities are bitwise those of one pass over all rows. Where the
-        worker can pay and the call has more than one block, this thread and
-        the `lunet-grads` worker share the blocks (`_forward_shared`). No
-        layer keeps its backward state there, so `backward` after an
-        infer-mode forward raises RuntimeError. Train mode runs the whole
-        batch at once: batch-norm statistics depend on it."""
+        In infer mode the stack runs over blocks of at most INFER_CHUNK
+        rows, so a forward holds the activations of a block at a time, and
+        each row's probabilities are bitwise those of one pass over all rows.
+        Where the worker can pay, this thread and the `lunet-grads` worker
+        share the blocks (`_forward_shared`), and a call of 16 to
+        2 x INFER_CHUNK rows is cut into two blocks. No layer keeps its
+        backward state there, so `backward` after an infer-mode forward
+        raises RuntimeError. Train mode runs the whole batch at once:
+        batch-norm statistics depend on it."""
         if x.ndim != 2 or x.shape[1] != self.spec.input_features:
             raise ValueError(
                 f"expected [batch, {self.spec.input_features}] input, got {x.shape}")
         n = x.shape[0]
         probs = np.empty((n, self.spec.num_classes))
-        blocks = [(0, n)] if self.mode == "train" else _infer_blocks(n, INFER_CHUNK)
+        rows = INFER_CHUNK
+        if layers_mod.QUEUE_PRODUCTS and n >= 16:  # half the rows, rounded up to 4s
+            rows = min(rows, 4 * -(-n // 8))
+        blocks = [(0, n)] if self.mode == "train" else _infer_blocks(n, rows)
         if len(blocks) > 1 and layers_mod.QUEUE_PRODUCTS:
             self._forward_shared(blocks, x, probs)
         else:
@@ -154,13 +165,11 @@ class LuNetModel:
 
     def _forward_shared(self, blocks, x: np.ndarray, probs: np.ndarray):
         """Infer `x` into `probs` over its (start, stop) `blocks` of rows, which
-        this thread and the worker take in turn from one queue. While it runs
-        blocks, neither thread hands products to the worker
-        (`layers._inline_products`). The worker calls each layer's class
-        `forward`, so a wrapper on an instance's `forward` sees this thread's
-        blocks alone. A block that raises empties the queue, so the other
-        thread stops after its block; the worker's exception is raised here
-        once both threads are done."""
+        this thread and the worker take in turn from one queue. The worker
+        calls each layer's class `forward`, so a wrapper on an instance's
+        `forward` sees this thread's blocks alone. A block that raises
+        empties the queue, so the other thread stops after its block; the
+        worker's exception is raised here once both threads are done."""
         pending, lock = deque(blocks), threading.Lock()
 
         def take():
@@ -168,13 +177,12 @@ class LuNetModel:
                 return pending.popleft() if pending else None
 
         def run(forwards):
-            with layers_mod._inline_products():
-                try:
-                    _run_blocks(iter(take, None), forwards, x, probs, "infer")
-                except BaseException:
-                    with lock:
-                        pending.clear()
-                    raise
+            try:
+                _run_blocks(iter(take, None), forwards, x, probs, "infer")
+            except BaseException:
+                with lock:
+                    pending.clear()
+                raise
 
         job = layers_mod._submit(
             partial(run, [partial(type(layer).forward, layer) for layer in self.layers]))

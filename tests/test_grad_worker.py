@@ -1,11 +1,13 @@
 """The `lunet-grads` worker: where BLAS runs one thread on a host with a
-second CPU, `Conv1D` and `LSTM` forward hand half their batch rows or their
-next block of input products to it and wait for them, and their backward
-queues the weight-gradient products on it, which reading `grads` waits for;
-encoding and standardizing a table of at least 2 x BLOCK_BYTES hand it the
-second half of the rows. Inference and training with the worker must be
-bitwise what inline passes give, at any BLAS thread count, and a job runs
-under the numpy error state of the thread that submitted it."""
+second CPU, a train-mode `Conv1D` and `LSTM` forward hand half their batch
+rows or their next block of input products to it and wait for them, also
+when their own thread raises, and their backward queues the
+weight-gradient products on it, which reading `grads` waits for; an
+infer-mode model forward shares its blocks of rows with it; encoding and
+standardizing a table of at least 2 x BLOCK_BYTES hand it the second half
+of the rows. Inference and training with the worker must be bitwise what
+inline passes give, at any BLAS thread count, and a job runs under the numpy
+error state of the thread that submitted it."""
 
 import concurrent.futures
 import hashlib
@@ -15,6 +17,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -24,7 +27,7 @@ import pytest
 from lunet import layers
 from lunet.cli import EXIT_OK, main
 from lunet.data import apply_standardization
-from lunet.layers import Layer
+from lunet.layers import LSTM, Conv1D, Layer
 from lunet.model import LuNetSpec, build
 from lunet.tensor import Rng
 from lunet.train import RmsProp, cross_entropy_delta, iter_batches, one_hot, TrainConfig
@@ -69,6 +72,24 @@ def run_python(code: str, blas_threads: int | None = None):
             env[var] = str(blas_threads)
     return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def late_jobs(monkeypatch) -> list:
+    """Make `_submit` hand the worker each job to start 0.3 s late; the list
+    returned holds the futures of the jobs it handed over."""
+    submit, futures = layers._submit, []
+
+    def late(fn):
+        def job():
+            time.sleep(0.3)
+            fn()
+
+        handed = submit(job)
+        futures.append(handed[0])
+        return handed
+
+    monkeypatch.setattr(layers, "_submit", late)
+    return futures
 
 
 def paper_width_model(seed: int = 1):
@@ -144,9 +165,13 @@ class TestWorker:
         np.testing.assert_array_equal(layer.grads["w"], 2.0)
 
     def test_forward_error_surfaces_on_the_calling_thread(self, monkeypatch):
+        # a train forward hands the worker conv halves and LSTM products; the
+        # first job fails, in the level-0 conv, before any state changes
         monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
-        model, x = paper_width_model(), Rng(12).normal((4, 122))
-        want = model.forward(x)
+        model, fresh, x = paper_width_model(), paper_width_model(), Rng(12).normal((4, 122))
+        model.set_mode("train")
+        fresh.set_mode("train")
+        want = fresh.forward(x)
         submit = layers._submit
 
         def fail():
@@ -159,6 +184,30 @@ class TestWorker:
         monkeypatch.setattr(layers, "_submit", submit)
         np.testing.assert_array_equal(model.forward(x), want)
         assert [t.name for t in threading.enumerate()].count("lunet-grads") == 1
+
+    def test_conv_waits_for_its_half_when_its_own_half_raises(self, monkeypatch):
+        monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
+        futures = late_jobs(monkeypatch)
+        x = Rng(3).normal((8, 10, 3))
+        x[:4] = 1e308  # the calling thread's half
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            Conv1D(3, 4, 3, Rng(1)).forward(x)
+        assert len(futures) == 1 and futures[0].done()
+
+    def test_lstm_waits_for_its_products_when_a_step_raises(self, monkeypatch):
+        # one-step blocks: the products of step 1 are handed over before
+        # step 0 runs
+        monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
+        monkeypatch.setattr(layers, "BLOCK_BYTES", 1)
+        futures = late_jobs(monkeypatch)
+
+        def fail(z, out=None):
+            raise ArithmeticError("step failed")
+
+        monkeypatch.setattr(layers, "sigmoid", fail)
+        with pytest.raises(ArithmeticError, match="step failed"):
+            LSTM(3, 3, Rng(1)).forward(Rng(2).normal((4, 5, 3)))
+        assert len(futures) == 1 and futures[0].done()
 
     def test_table_half_error_surfaces_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
@@ -284,26 +333,21 @@ class TestWorker:
         assert proc.stdout.splitlines()[-1] == "['MainThread']"
 
     def test_many_forwarding_threads_get_the_inline_bits(self, monkeypatch):
-        # each thread's forward hands jobs to the one worker or runs them
-        # itself at its join, in whatever interleaving the switches give;
-        # one-step LSTM blocks make a job per step
+        # each thread's train forward hands jobs to the one worker or runs
+        # them itself at its join, in whatever interleaving the switches give;
+        # one-step LSTM blocks make a job per step. Each forward is a fresh
+        # model's, so that dropout draws the same mask every time
         monkeypatch.setattr(layers, "BLOCK_BYTES", 1)
         spec = LuNetSpec(input_features=40, num_classes=2, levels=(8, 16))
         x = Rng(3).normal((9, 40))
 
-        def infer_model():
-            model = build(spec)
-            model.set_mode("infer")
-            return model
-
         monkeypatch.setattr(layers, "QUEUE_PRODUCTS", False)
-        want = infer_model().forward(x)
+        want = build(spec).forward(x)
         monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
         seen = []
 
         def forwards():
-            model = infer_model()
-            seen.extend(np.array_equal(model.forward(x), want) for _ in range(20))
+            seen.extend(np.array_equal(build(spec).forward(x), want) for _ in range(20))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

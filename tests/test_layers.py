@@ -405,22 +405,24 @@ class TestLstm:
         assert lstm._cache[1].nbytes == all_gates
 
     def test_inline_infer_holds_one_block_of_gates(self, monkeypatch):
-        # with its products made here, each block of timesteps gets its input
-        # products just before its steps, so one gate block of BLOCK_BYTES
-        # (2 steps of [256, 256]) is live. Beside the output, a step holds h @ W
-        # and sigmoid's exp, [256, 256] each, and three [256, 64] rows: about
-        # 2.0 x BLOCK_BYTES in all; a second gate block would add 1.0
-        monkeypatch.setattr(layers, "QUEUE_PRODUCTS", False)
+        # infer makes its products here, with or without the worker: each
+        # block of timesteps gets its input products just before its steps,
+        # so one gate block of BLOCK_BYTES (2 steps of [256, 256]) is live.
+        # Beside the output, a step holds h @ W and sigmoid's exp, [256, 256]
+        # each, and three [256, 64] rows: about 2.0 x BLOCK_BYTES in all; a
+        # second gate block would add 1.0
         lstm = LSTM(64, 64, Rng(0))
         x = Rng(1).normal((256, 60, 64))
-        tracemalloc.start()
-        try:
-            out = lstm.forward(x, mode="infer")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        extra = (peak - out.nbytes) / layers.BLOCK_BYTES
-        assert extra <= 2.25, f"peak is the output plus {extra:.2f} x BLOCK_BYTES"
+        for queue in (False, True):
+            monkeypatch.setattr(layers, "QUEUE_PRODUCTS", queue)
+            tracemalloc.start()
+            try:
+                out = lstm.forward(x, mode="infer")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra = (peak - out.nbytes) / layers.BLOCK_BYTES
+            assert extra <= 2.25, f"queue {queue}: output + {extra:.2f} x BLOCK_BYTES"
 
     def test_train_holds_gates_and_about_twice_its_output(self, monkeypatch):
         # train keeps every step's gates, its output and every cell state

@@ -1,11 +1,12 @@
 """Where the `lunet-grads` worker can pay (`layers.QUEUE_PRODUCTS`) and an
 infer forward has more than one block, the calling thread and the worker
-take its blocks of INFER_CHUNK rows from one queue, each running whole
-blocks through the layer stack with its products inline. The probabilities
-must be bitwise those of an all-inline forward; a wrapper on a layer
-instance's `forward` sees the calling thread alone; a block that raises on
-the worker raises on the calling thread once both have stopped; and no job
-is left on the worker when the forward returns."""
+take its blocks from one queue, each running whole blocks through the layer
+stack; a call of 16 to 2 x INFER_CHUNK rows is cut into two blocks, larger
+ones into blocks of INFER_CHUNK rows, and no layer hands the worker a job of
+its own. The probabilities must be bitwise those of an all-inline forward; a
+wrapper on a layer instance's `forward` sees the calling thread alone; a
+block that raises on the worker raises on the calling thread once both have
+stopped; and no job is left on the worker when the forward returns."""
 
 import os
 import subprocess
@@ -24,8 +25,8 @@ from lunet.model import INFER_CHUNK
 from lunet.tensor import Rng
 
 TESTS = Path(__file__).resolve().parent
-BATCHES = (1, 2, 31, 32, 33, 34, 63, 64, 65, 66, 97, 127, 128, 129, 130, 191, 192, 193, 194,
-           1024)
+BATCHES = (1, 2, 5, 6, 7, 8, 9, 16, 24, 31, 32, 33, 34, 48, 63, 64, 65, 66, 97, 127, 128, 129,
+           130, 191, 192, 193, 194, 1024)
 
 
 def shared_mismatch() -> str | None:
@@ -59,10 +60,13 @@ def test_blocks_of_infer_chunk_rows_are_shared_where_there_are_two(monkeypatch):
         return forward_shared(self, blocks, x, probs)
 
     monkeypatch.setattr(model_mod.LuNetModel, "_forward_shared", recording)
-    for rows in (1, 64, 65, 66, 129, 130):
+    for rows in (1, 5, 15, 16, 64, 65, 66, 129, 130):
         model.forward(x[:rows])
-    # a one-row remainder joins the last block, so 65 rows make one block
-    assert shared == [(66, [(0, 64), (64, 66)]), (129, [(0, 64), (64, 129)]),
+    # 16 to 2 x INFER_CHUNK rows make two blocks that start at a multiple of
+    # 4, fewer make one; a one-row remainder joins the last block
+    assert shared == [(16, [(0, 8), (8, 16)]),
+                      (64, [(0, 32), (32, 64)]), (65, [(0, 36), (36, 65)]),
+                      (66, [(0, 36), (36, 66)]), (129, [(0, 64), (64, 129)]),
                       (130, [(0, 64), (64, 128), (128, 130)])]
     # the calling thread's blocks, as an instance wrapper sees them (as
     # bench/spans.py's Tracer.wrap does): whole blocks of INFER_CHUNK rows,
@@ -76,6 +80,24 @@ def test_blocks_of_infer_chunk_rows_are_shared_where_there_are_two(monkeypatch):
     model.layers[0].forward = wrapper
     model.forward(x)
     assert rows_seen and set(rows_seen) <= {INFER_CHUNK, 65}
+
+
+@pytest.mark.parametrize("rows", [1, 5, 8, 9, 15, 16, 32, 64, 65, 66, 129, 1024])
+def test_infer_forward_hands_the_worker_its_blocks_alone(monkeypatch, rows):
+    # the one job an infer forward submits is the model's block job, for a
+    # call of 16 rows or more; no layer submits a job of its own, on either
+    # thread
+    monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
+    model, x = infer_model(2), Rng(8).normal((rows, 122))
+    submit, callers = layers._submit, []
+
+    def recording(fn):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return submit(fn)
+
+    monkeypatch.setattr(layers, "_submit", recording)
+    model.forward(x)
+    assert callers == (["lunet.model"] if rows >= 16 else [])
 
 
 def test_shared_forward_is_bitwise_an_inline_one():
@@ -208,7 +230,7 @@ def test_no_job_is_left_on_the_worker(monkeypatch):
 
     monkeypatch.setattr(layers, "_submit", recording)
     model.predict_class(x)
-    # the one block job: each thread ran its own products inline
+    # the one block job: no layer hands the worker a job in infer mode
     assert len(queued) == 1 and queued[0].done()
     assert layers._grad_worker.pool._work_queue.empty()
 
@@ -218,7 +240,7 @@ def test_many_threads_sharing_blocks_get_the_inline_bits(monkeypatch):
     # them one at a time; a thread whose job the worker has not started
     # takes every block itself and then runs the job, which finds none left
     spec = model_mod.LuNetSpec(input_features=40, num_classes=2, levels=(8, 16))
-    x = Rng(3).normal((100, 40))  # blocks of 64 and 36 rows
+    x = Rng(3).normal((100, 40))  # blocks of 52 and 48 rows
 
     def small_model():
         model = model_mod.build(spec)
