@@ -61,3 +61,28 @@ def test_full_one_block_model_on_2x32x1():
     report = model_gradient_check(model, x, np.array([0, 1]), samples=15)
     worst = max(report.values())
     assert worst < 1e-4, max(report, key=report.get)
+
+
+# The tight gate. Float64 central differences at FD_STEP = 1e-5 carry a
+# rounding error of about eps * |loss| / FD_STEP = 2.2e-16 * 1.1 / 1e-5, some
+# 2.4e-11 per probed coordinate, which is up to 2.4e-8 of the relative
+# error's 1e-3 scale floor: the noise floor. The suite reads at most 1.6e-8
+# (`lunet_1block`) and the two-level model 1.6e-8 (`level1.lstm.U`), both at
+# that floor, so 1e-6 leaves about 60x. A BatchNorm backward whose inv_std
+# drops BN_EPSILON passes the 1e-4 gate above (4.2e-6 for `batchnorm`,
+# 6.9e-5 for `lunet_1block`) and fails this one.
+TIGHT = 1e-6
+
+
+def test_standard_suite_at_the_float64_noise_floor():
+    for name, err in standard_gradient_suite().items():
+        assert err < TIGHT, f"{name}: {err}"
+
+
+def test_two_level_model_at_the_float64_noise_floor():
+    # backprop through time and batch norm across two levels
+    model = build(LuNetSpec(input_features=32, num_classes=3, levels=(4, 8),
+                            final_conv_filters=8, init_seed=0))
+    report = model_gradient_check(model, Rng(5).normal((4, 32)), np.array([0, 1, 2, 1]))
+    worst = max(report, key=report.get)
+    assert report[worst] < TIGHT, f"{worst}: {report[worst]}"
