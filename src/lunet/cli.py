@@ -205,9 +205,9 @@ def make_spec(cfg: RunConfig, input_features: int, num_classes: int,
 
 
 def predict_batched(model, features: np.ndarray) -> np.ndarray:
-    """Predicted class per row. The model runs its infer forward in blocks of
-    at most `lunet.model.INFER_CHUNK` rows, which this thread and the
-    `lunet-grads` worker share where the worker can pay."""
+    """Predicted class per row, whatever rows share the call. The model runs
+    its infer forward in blocks of `lunet.model.INFER_CHUNK` rows, which this
+    thread and the `lunet-grads` worker share where the worker can pay."""
     return model.predict_class(features)
 
 

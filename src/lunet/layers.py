@@ -59,6 +59,11 @@ from .tensor import Rng, sigmoid
 # L2 from its input product to its step.
 BLOCK_BYTES = 1 << 20
 
+# OpenBLAS's float64 GEMM makes rows in groups of 4 and rounds those of a last
+# partial group otherwise, as numpy's GEMV does a one-row product; so infer-mode
+# Dense pads its rows to a multiple of 4 and LSTM runs one row as two
+_GEMM_ROWS = 4
+
 BN_MOMENTUM = 0.99  # weight of the old value in a batch-norm running statistic
 BN_EPSILON = 1e-5  # added to a batch-norm variance before its square root
 
@@ -458,7 +463,8 @@ class LSTM(Layer):
     timesteps at once. A forward writes each h(t) straight into its
     batch-major output. Train mode keeps that output, every step's gate
     activations and every cell state (time-major, [length, batch, .]) for
-    backward. Besides its output an infer-mode forward holds one block of
+    backward. Infer mode runs one row as two, itself and a zero row
+    (_GEMM_ROWS). Besides its output an infer-mode forward holds one block of
     gate pre-activations (about BLOCK_BYTES), the input rows of that block,
     a step's h @ W [batch, 4 * cells] and a few [batch, cells] rows: the
     zero h(-1), the cell state and the g pre-activation.
@@ -482,6 +488,9 @@ class LSTM(Layer):
             raise ValueError(f"{self.name}: empty sequence")
         c, p = self.cells, self.params
         train = mode == "train"
+        rows = b
+        if b == 1 and not train:  # one row runs as two (_GEMM_ROWS)
+            x, b = np.concatenate([x, np.zeros_like(x)]), 2
         # Time-major, so each step reads and writes contiguous rows. The input
         # products b + x(t) @ U are made a block of about BLOCK_BYTES of
         # timesteps at a time. In train mode where the worker can pay, each
@@ -490,11 +499,9 @@ class LSTM(Layer):
         # steps. A block's rows are overwritten at their steps with the gate
         # activations sigmoid(p) | tanh(g) | sigmoid(f) | sigmoid(q).
         # Backward reads every step's activations, so train writes each block
-        # into its place in the full-length gates; infer reuses one block
-        # buffer. A one-row product would go to GEMV and round differently,
-        # so one sequence alone keeps a single block.
+        # into its place in the full-length gates; infer reuses one buffer.
         ahead = train and QUEUE_PRODUCTS
-        block = length if b == 1 else min(length, max(1, BLOCK_BYTES // (b * 4 * c * 8)))
+        block = min(length, max(1, BLOCK_BYTES // (b * 4 * c * 8)))
         gates = np.empty((length if train else min(length, block), b, 4 * c))
 
         def block_at(t0):
@@ -537,7 +544,7 @@ class LSTM(Layer):
             finally:
                 _join(job)
         self._cache = (x, gates, out, ss) if train else None
-        return out
+        return out[:rows]
 
     def backward(self, upstream):
         x, gates, out, ss = self._require_cache()
@@ -624,7 +631,8 @@ class GlobalAvgPool(Layer):
 
 
 class Dense(Layer):
-    """Fully-connected x @ W + b."""
+    """Fully-connected x @ W + b; infer mode pads the rows with zero rows to a
+    multiple of _GEMM_ROWS."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: Rng, name: str = "dense"):
         super().__init__(name)
@@ -636,7 +644,10 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"{self.name}: expected [batch, {self.in_dim}], got {x.shape}")
         self._cache = x if mode == "train" else None
-        return x @ self.params["W"] + self.params["b"]
+        m = len(x)
+        if mode != "train" and m % _GEMM_ROWS:
+            x = np.concatenate([x, np.zeros((-m % _GEMM_ROWS, self.in_dim))])
+        return (x @ self.params["W"] + self.params["b"])[:m]
 
     def backward(self, upstream):
         x = self._require_cache()

@@ -87,20 +87,7 @@ class LuNetSpec:
 # 2-core Xeon) a cut call of 6, 8 and 12 rows took 19.4, 22.4 and 27.4 ms
 # against 15.1, 18.2 and 24.8 as one block; 16 rows took 31.0 against 32.2,
 # and 24 rows 42.1 against 48.7.
-# Blocking keeps every bit of one pass over all rows as long as each block
-# starts at a multiple of 4 rows (the row quantum of the dense head's GEMM
-# on OpenBLAS, float64) and none holds a single row of a larger batch, which
-# numpy hands to GEMV; so every block size is a multiple of 4, and a one-row
-# remainder joins the last block.
 INFER_CHUNK = 64
-
-
-def _infer_blocks(n: int, rows: int) -> list[tuple[int, int]]:
-    """(start, stop) of each block of `rows` rows of an n-row infer forward."""
-    starts = list(range(0, n, rows))
-    if n > 1 and n % rows == 1:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n]))
 
 
 def _run_blocks(blocks, forwards, x: np.ndarray, probs: np.ndarray, mode: str):
@@ -139,24 +126,25 @@ class LuNetModel:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """[batch, input_features] -> class-probability rows summing to 1.
 
-        In infer mode the stack runs over blocks of at most INFER_CHUNK
-        rows, so a forward holds the activations of a block at a time, and
-        each row's probabilities are bitwise those of one pass over all rows.
-        Where the worker can pay, this thread and the `lunet-grads` worker
-        share the blocks (`_forward_shared`), and a call of 16 to
-        2 x INFER_CHUNK rows is cut into two blocks. No layer keeps its
-        backward state there, so `backward` after an infer-mode forward
-        raises RuntimeError. Train mode runs the whole batch at once:
-        batch-norm statistics depend on it."""
+        In infer mode a row's probabilities never depend on how many rows
+        share the call, and the stack runs over blocks of at most INFER_CHUNK
+        rows, so a forward holds the activations of a block at a time. Where
+        the worker can pay, this thread and the `lunet-grads` worker share
+        the blocks (`_forward_shared`), and a call of 16 to 2 x INFER_CHUNK
+        rows is cut in two. No layer keeps its backward state there, so
+        `backward` after an infer-mode forward raises RuntimeError. Train
+        mode runs the whole batch at once: batch-norm statistics depend on
+        it."""
         if x.ndim != 2 or x.shape[1] != self.spec.input_features:
             raise ValueError(
                 f"expected [batch, {self.spec.input_features}] input, got {x.shape}")
         n = x.shape[0]
         probs = np.empty((n, self.spec.num_classes))
         rows = INFER_CHUNK
-        if layers_mod.QUEUE_PRODUCTS and n >= 16:  # half the rows, rounded up to 4s
-            rows = min(rows, 4 * -(-n // 8))
-        blocks = [(0, n)] if self.mode == "train" else _infer_blocks(n, rows)
+        if layers_mod.QUEUE_PRODUCTS and n >= 16:
+            rows = min(rows, -(-n // 2))
+        blocks = ([(0, n)] if self.mode == "train" else
+                  [(start, min(start + rows, n)) for start in range(0, n, rows)])
         if len(blocks) > 1 and layers_mod.QUEUE_PRODUCTS:
             self._forward_shared(blocks, x, probs)
         else:
@@ -223,14 +211,12 @@ class LuNetModel:
 
     def _first_nonfinite_layer(self, x: np.ndarray, i: int) -> str:
         """The name of the first layer whose infer-mode output for row `i` of
-        `x` is not finite, found by running that row's block again layer by
+        `x` is not finite, found by running that row alone again layer by
         layer, or "softmax" if none is."""
-        start, stop = next(b for b in _infer_blocks(len(x), INFER_CHUNK)
-                           if b[0] <= i < b[1])
-        out = x[start:stop, :, None]
+        out = x[i:i + 1, :, None]
         for layer in self.layers:
             out = layer.forward(out, mode="infer")
-            if not np.isfinite(out[i - start]).all():
+            if not np.isfinite(out).all():
                 return layer.name
         return "softmax"
 

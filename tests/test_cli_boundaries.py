@@ -77,7 +77,8 @@ def test_evaluate_of_the_training_csv_with_any_category_name(tmp_path, service):
 
 
 def test_evaluate_of_one_row_past_a_block_scores_one_pass_over_all_rows(tmp_path):
-    # the 65th row joins the 64-row block instead of running alone
+    # the 65th row runs alone in a block of its own, or in the second of two
+    # blocks of 33 and 32 rows, and gets the bits of one pass over all rows
     csv_path, ckpt = tmp_path / "rows.csv", tmp_path / "m.lunet"
     write_nsl(csv_path, ["ftp", "http"], rows=INFER_CHUNK + 1)
     argv = ["--dataset", "nsl-kdd", "--levels", "4", "--epochs", "1", "--batch-size", "4",

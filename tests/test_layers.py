@@ -508,6 +508,29 @@ class TestDense:
             Dense(3, 2, Rng(0)).forward(np.zeros((2, 4)))
 
 
+class TestBatchInvariance:
+    # in infer mode a row of a batch gets the bits it gets alone, at the
+    # paper's head and level-0 LSTM widths
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 37])
+    def test_dense_row_alone_is_the_row_in_a_batch(self, rows):
+        dense = Dense(256, 2, Rng(0))
+        dense.params["b"][...] = Rng(1).normal((2,))
+        x = Rng(2).normal((rows, 256))
+        batch = dense.forward(x, mode="infer")
+        for r in range(rows):
+            assert dense.forward(x[r:r + 1], mode="infer").tobytes() == batch[r].tobytes(), r
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 37])
+    def test_lstm_row_alone_is_the_row_in_a_batch(self, rows):
+        lstm = LSTM(64, 64, Rng(0))
+        lstm.params["b"][...] = Rng(1).normal((4 * 64,))
+        x = Rng(2).normal((rows, 12, 64))
+        batch = lstm.forward(x, mode="infer")
+        for r in range(rows):
+            assert lstm.forward(x[r:r + 1], mode="infer").tobytes() == batch[r].tobytes(), r
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = softmax(np.array([[0.0, 0.0]]))

@@ -107,15 +107,18 @@ class TestForward:
         np.testing.assert_array_equal(model.forward(x), model.forward(x))
 
     def test_paper_width_probs_do_not_depend_on_chunking(self):
-        # 64-row forwards give the bits of one pass over all 256 rows
+        # forwards of 1, 37 and 64 rows give the bits of one pass over all
+        # 256 rows
         model = build(LuNetSpec(input_features=122, num_classes=2, init_seed=1))
         for _, _, pname, value in model.named_params():
             if pname in ("b", "bias"):
                 value[...] = Rng(value.size).normal(value.shape)
         model.set_mode("infer")
         x = Rng(12).normal((256, 122))
-        chunks = np.vstack([model.forward(x[i:i + 64]) for i in range(0, 256, 64)])
-        np.testing.assert_array_equal(single_pass(model, x), chunks)
+        want = single_pass(model, x)
+        for chunk in (1, 37, 64):
+            chunks = np.vstack([model.forward(x[i:i + chunk]) for i in range(0, 256, chunk)])
+            np.testing.assert_array_equal(want, chunks, err_msg=f"chunks of {chunk} rows")
 
     @pytest.mark.parametrize("block_bytes", [1, layers.BLOCK_BYTES])
     @pytest.mark.parametrize("chunk", [1, 37, 64, 256])
@@ -123,9 +126,7 @@ class TestForward:
                                                             chunk):
         # an infer-mode LSTM splits its input product into time blocks sized
         # by the batch; at every chunk size the probabilities are the bits of
-        # one whole-sequence block. (Chunks of 1 or 37 rows do not give the
-        # bits of one forward over all rows: one-row products go to GEMV and
-        # the dense head's 37-row product takes another BLAS kernel.)
+        # one whole-sequence block
         model = build(LuNetSpec(input_features=122, num_classes=2, init_seed=1))
         for _, _, pname, value in model.named_params():
             if pname in ("b", "bias"):
@@ -146,7 +147,7 @@ class TestForward:
     def test_infer_forward_leaves_the_input_unchanged(self, classes, batch):
         # infer-mode ReLU and BatchNorm write into their inputs, which must
         # be the fresh outputs of the layers before them, never the caller's,
-        # in every block of rows (65: a one-row remainder joins the block)
+        # in every block of rows (65: a one-row last block, or 33 and 32)
         x = Rng(batch).normal((batch, 122))
         before = x.tobytes()
         infer_model(classes).forward(x)

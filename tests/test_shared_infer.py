@@ -2,8 +2,8 @@
 infer forward has more than one block, the calling thread and the worker
 take its blocks from one queue, each running whole blocks through the layer
 stack; a call of 16 to 2 x INFER_CHUNK rows is cut into two blocks, larger
-ones into blocks of INFER_CHUNK rows, and no layer hands the worker a job of
-its own. The probabilities must be bitwise those of an all-inline forward; a
+ones into blocks of INFER_CHUNK rows and what is left, and no layer hands the
+worker a job of its own. The probabilities must be bitwise those of an all-inline forward; a
 wrapper on a layer instance's `forward` sees the calling thread alone; a
 block that raises on the worker raises on the calling thread once both have
 stopped; and no job is left on the worker when the forward returns."""
@@ -62,15 +62,16 @@ def test_blocks_of_infer_chunk_rows_are_shared_where_there_are_two(monkeypatch):
     monkeypatch.setattr(model_mod.LuNetModel, "_forward_shared", recording)
     for rows in (1, 5, 15, 16, 64, 65, 66, 129, 130):
         model.forward(x[:rows])
-    # 16 to 2 x INFER_CHUNK rows make two blocks that start at a multiple of
-    # 4, fewer make one; a one-row remainder joins the last block
+    # 16 to 2 x INFER_CHUNK rows make two blocks, the first of half the rows
+    # rounded up, fewer make one; larger calls make blocks of INFER_CHUNK
+    # rows and what is left
     assert shared == [(16, [(0, 8), (8, 16)]),
-                      (64, [(0, 32), (32, 64)]), (65, [(0, 36), (36, 65)]),
-                      (66, [(0, 36), (36, 66)]), (129, [(0, 64), (64, 129)]),
+                      (64, [(0, 32), (32, 64)]), (65, [(0, 33), (33, 65)]),
+                      (66, [(0, 33), (33, 66)]), (129, [(0, 64), (64, 128), (128, 129)]),
                       (130, [(0, 64), (64, 128), (128, 130)])]
     # the calling thread's blocks, as an instance wrapper sees them (as
     # bench/spans.py's Tracer.wrap does): whole blocks of INFER_CHUNK rows,
-    # and the 65-row last one
+    # and the one-row last one
     rows_seen, conv_forward = [], model.layers[0].forward
 
     def wrapper(x, mode="train"):
@@ -79,7 +80,7 @@ def test_blocks_of_infer_chunk_rows_are_shared_where_there_are_two(monkeypatch):
 
     model.layers[0].forward = wrapper
     model.forward(x)
-    assert rows_seen and set(rows_seen) <= {INFER_CHUNK, 65}
+    assert rows_seen and set(rows_seen) <= {INFER_CHUNK, 1}
 
 
 @pytest.mark.parametrize("rows", [1, 5, 8, 9, 15, 16, 32, 64, 65, 66, 129, 1024])
@@ -240,7 +241,7 @@ def test_many_threads_sharing_blocks_get_the_inline_bits(monkeypatch):
     # them one at a time; a thread whose job the worker has not started
     # takes every block itself and then runs the job, which finds none left
     spec = model_mod.LuNetSpec(input_features=40, num_classes=2, levels=(8, 16))
-    x = Rng(3).normal((100, 40))  # blocks of 52 and 48 rows
+    x = Rng(3).normal((100, 40))  # two blocks of 50 rows
 
     def small_model():
         model = model_mod.build(spec)
