@@ -1,8 +1,8 @@
 """Paper-width infer probabilities, bit for bit against
 `tests/data/golden_infer.npz` (written by `tests/golden_infer.py`), in this
 process and in subprocesses at one and two BLAS threads. At one BLAS thread
-a host with a second CPU hands conv rows and LSTM input products to the
-`lunet-grads` worker; at two it runs them inline."""
+a host with a second CPU shares a call's blocks of rows with the
+`lunet-grads` worker; at two the calling thread runs them all."""
 
 import os
 import subprocess
