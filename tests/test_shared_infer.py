@@ -3,10 +3,11 @@ infer forward has more than one block, the calling thread and the worker
 take its blocks from one queue, each running whole blocks through the layer
 stack; a call of 16 to 2 x INFER_CHUNK rows is cut into two blocks, larger
 ones into blocks of INFER_CHUNK rows and what is left, and no layer hands the
-worker a job of its own. The probabilities must be bitwise those of an all-inline forward; a
-wrapper on a layer instance's `forward` sees the calling thread alone; a
-block that raises on the worker raises on the calling thread once both have
-stopped; and no job is left on the worker when the forward returns."""
+worker a job of its own. The probabilities must be bitwise those of an
+all-inline forward; a wrapper on a layer instance's `forward` sees the
+calling thread alone; a block that raises on the worker raises on the
+calling thread once both have stopped; and no job is left on the worker when
+the forward returns."""
 
 import os
 import subprocess
