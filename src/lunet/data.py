@@ -419,20 +419,16 @@ def _merged(parts: list) -> tuple[list, np.ndarray]:
 def _by_halves(fill, out: np.ndarray):
     """Call `fill(lo, hi)` to write rows [lo, hi) of `out`, for all its rows:
     where `out` holds at least 2 x `layers.BLOCK_BYTES` and the worker can pay
-    (`layers.QUEUE_PRODUCTS`), the second half on the `lunet-grads` worker
-    while this thread writes the first, else all of them here. Each element
-    gets the operation it gets in one pass, so the result is bitwise the
-    same either way; an exception from either half is raised here, after
-    both are done."""
+    (`layers.QUEUE_PRODUCTS`), the second half beside this thread's first
+    (`layers.beside`), else all of them here. Each element gets the
+    operation it gets in one pass, so the result is bitwise the same either
+    way."""
     n = len(out)
     if not layers.QUEUE_PRODUCTS or out.nbytes < 2 * layers.BLOCK_BYTES:
         fill(0, n)
         return
-    job = layers._submit(partial(fill, n // 2, n))
-    try:
+    with layers.beside(partial(fill, n // 2, n)):
         fill(0, n // 2)
-    finally:
-        layers._join(job)
 
 
 def encode_categorical(raw: RawTable) -> tuple[np.ndarray, list]:

@@ -16,31 +16,30 @@ kept for backward.
 Where BLAS runs one thread and a second CPU is there (QUEUE_PRODUCTS),
 independent work goes to one worker thread ("lunet-grads", a one-thread
 ThreadPoolExecutor made at the first hand-over in a process, which keeps
-itself off the CPU of the thread that hands work over). In infer mode a
-layer hands nothing over: an infer-mode `LuNetModel.forward` shares its
-blocks of rows with the worker, which runs whole blocks through each
-layer's class `forward` while the calling thread runs others. In train mode:
-- `Conv1D.forward` computes the second half of the batch rows there while
-  the calling thread computes the first half, and waits for it;
-- `LSTM.forward` makes the input products of the next block of timesteps
-  there while the calling thread steps through the current block;
-- `Conv1D.backward` and `LSTM.backward` compute the input gradient on the
-  calling thread and queue their weight-gradient products there, so those
-  run beside the backward pass of the layers below. Reading `grads` waits
-  for the layer's queued products and raises any exception they raised. A
-  queued product reads the layer's forward input and its `upstream`, and
-  the LSTM's reads its forward output too, so a caller must not write into
-  any of these until it has read `grads`.
-Each product keeps the shape, operands and accumulation order it has inline,
-so every output and gradient is bitwise that of a single-threaded pass. A
-forward waits for its own products, or cancels one the worker has not
-started and makes it itself, and raises any exception they raised, also
-when its own thread raised first. The thread is not a daemon: interpreter
-exit lets it finish what it holds and joins it.
+itself off the CPU of the thread that hands work over) in one of two ways:
+- `with beside(fn):` runs `fn` there while the body runs here. `fn` reads
+  only what the body does not write and writes only what the body does not
+  read; the end of the body waits for it, or runs it here if the worker has
+  not started it, also when the body raised, and raises either side's
+  exception. Train-mode `Conv1D` and `LSTM` forwards, an infer-mode
+  `LuNetModel.forward` and the table passes of `data` hand work over so.
+- `Layer._defer(fn)` queues a weight-gradient product of a backward, which
+  adds into the layer's gradient buffers only. It reads the layer's forward
+  input and `upstream` (and the LSTM's forward output), so a caller must not
+  write into any of these until it has read `grads`, which waits for every
+  product the layer queued, never runs one itself, and raises the first
+  exception they raised.
+In infer mode a layer hands nothing over: the model shares its blocks of
+rows with the worker instead. A job runs under the numpy error state of the
+thread that handed it over, and keeps the shape, operands and accumulation
+order it has inline, so every output and gradient is bitwise that of a
+single-threaded pass. The thread is not a daemon: interpreter exit lets it
+finish what it holds and joins it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from functools import partial
@@ -84,19 +83,11 @@ QUEUE_PRODUCTS = _queue_pays()
 
 class _GradWorker:
     """The process's one worker thread, "lunet-grads": a one-thread
-    ThreadPoolExecutor, which runs jobs one at a time, in submit order.
-
-    A job only reads arrays that nothing writes until it is done, and writes
-    only where nothing reads until then: a train forward job into rows or a
-    block of its layer's output or gate buffers, which the forward waits for
-    (`_join`); an infer block job into the probability rows of the blocks it
-    takes, which the model's forward waits for; a backward job into its
-    layer's gradient buffers, which `grads` waits for; a `data` job into the
-    second half of the rows of the table its encode or standardize call
-    returns, which that call waits for. An infer block job runs each layer
-    through its class `forward`, not the instance's attribute, and calls no
-    model, train or data function, so wrappers that time those or a layer
-    instance's `forward` from one thread never see this one."""
+    ThreadPoolExecutor, which runs jobs one at a time, in the order they were
+    started; the module docstring says what a job may read and write. A job
+    calls no model, train or data function and no layer instance's `forward`
+    attribute (the model's runs each layer's class `forward`), so wrappers
+    that time those from one thread never see this one."""
 
     def __init__(self):
         # here: at module level it puts `logging` in every `import lunet` (4-12 ms)
@@ -151,24 +142,30 @@ def _worker() -> _GradWorker:
         return _grad_worker
 
 
-def _submit(fn) -> tuple | None:
-    """Start `fn` on the worker and return its future with `fn`, or run it
-    here and return None where the worker cannot pay (QUEUE_PRODUCTS). The
-    worker runs it under the calling thread's numpy error state, so it warns,
-    raises or stays silent as it would here."""
-    if not QUEUE_PRODUCTS:
-        fn()
-        return None
+def _start(fn):
+    """Start `fn` on the worker, under the calling thread's numpy error state,
+    so it warns, raises or stays silent as it would here; return its future."""
     worker = _worker()
-    return worker.pool.submit(worker.run_kept_off, _current_cpu(), np.geterr(), fn), fn
+    return worker.pool.submit(worker.run_kept_off, _current_cpu(), np.geterr(), fn)
 
 
-def _join(job: tuple | None):
-    """Wait for a job `_submit` returned, or run it here if the worker has not
-    started it; raise the exception it raised. A future that cancels was not
-    started, and the worker skips it, so exactly one thread runs the job."""
-    if job is not None:
-        future, fn = job
+@contextlib.contextmanager
+def beside(fn):
+    """Run `fn` on the worker while the `with` body runs here, then wait for
+    it, or run it here if the worker has not started it (a future that
+    cancels was not started, and the worker skips it, so exactly one thread
+    runs `fn`); raise either side's exception once both are done. Where the
+    worker cannot pay (QUEUE_PRODUCTS) `fn` runs here before the body;
+    `beside(None)` runs the body alone."""
+    if fn is None or not QUEUE_PRODUCTS:
+        if fn is not None:
+            fn()
+        yield
+        return
+    future = _start(fn)
+    try:
+        yield
+    finally:
         if future.cancel():
             fn()
         else:
@@ -213,9 +210,10 @@ class Layer:
     def _defer(self, fn):
         """Run `fn`, which adds into `self._grads`, on the worker, or here
         where the worker cannot pay; `grads` waits for it."""
-        job = _submit(fn)
-        if job is not None:
-            self._jobs.append(job[0])
+        if QUEUE_PRODUCTS:
+            self._jobs.append(_start(fn))
+        else:
+            fn()
 
     def add_param(self, pname: str, value: np.ndarray):
         if pname in self.params:
@@ -289,11 +287,8 @@ class Conv1D(Layer):
                     o += t
 
         if mode == "train":
-            job = _submit(partial(rows, b // 2, b))
-            try:
+            with beside(partial(rows, b // 2, b)):
                 rows(0, b // 2)
-            finally:
-                _join(job)
         else:
             rows(0, b)
         self._cache = (x, l_out) if mode == "train" else None
@@ -525,8 +520,7 @@ class LSTM(Layer):
         for t0 in range(0, length, block):
             if t0 == 0 or not ahead:
                 products(t0)
-            job = _submit(partial(products, t0 + block)) if ahead and t0 + block < length else None
-            try:
+            with beside(partial(products, t0 + block) if ahead and t0 + block < length else None):
                 for t, z in enumerate(block_at(t0), start=t0):
                     # 15 numpy calls a step: one sigmoid over the whole gate
                     # row, then tanh of the copied g pre-activation into its slot
@@ -541,8 +535,6 @@ class LSTM(Layer):
                     s += g
                     np.tanh(s, out=h)
                     h *= z[:, 3 * c:]
-            finally:
-                _join(job)
         self._cache = (x, gates, out, ss) if train else None
         return out[:rows]
 

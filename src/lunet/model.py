@@ -13,7 +13,7 @@ import numpy as np
 
 from . import layers as layers_mod
 from .layers import (LSTM, BatchNorm, Conv1D, Dense, Dropout, GlobalAvgPool,
-                     Layer, MaxPool1D, ReLU)
+                     Layer, MaxPool1D, ReLU, beside)
 from .tensor import Rng, softmax
 
 
@@ -90,16 +90,6 @@ class LuNetSpec:
 INFER_CHUNK = 64
 
 
-def _run_blocks(blocks, forwards, x: np.ndarray, probs: np.ndarray, mode: str):
-    """Run each (start, stop) block of rows of `x` through `forwards` (one per
-    layer) and write its softmax rows into `probs`."""
-    for start, stop in blocks:
-        out = x[start:stop, :, None]
-        for forward in forwards:
-            out = forward(out, mode=mode)
-        probs[start:stop] = softmax(out)
-
-
 class NonFiniteProbabilities(FloatingPointError):
     """Row `row` (counted from 0) of a prediction's `rows` has class
     probabilities that are not all finite; `finding` says so and names
@@ -129,55 +119,48 @@ class LuNetModel:
         In infer mode a row's probabilities never depend on how many rows
         share the call, and the stack runs over blocks of at most INFER_CHUNK
         rows, so a forward holds the activations of a block at a time. Where
-        the worker can pay, this thread and the `lunet-grads` worker share
-        the blocks (`_forward_shared`), and a call of 16 to 2 x INFER_CHUNK
-        rows is cut in two. No layer keeps its backward state there, so
-        `backward` after an infer-mode forward raises RuntimeError. Train
-        mode runs the whole batch at once: batch-norm statistics depend on
-        it."""
+        the worker can pay, a call of 16 to 2 x INFER_CHUNK rows is cut in
+        two, and the `lunet-grads` worker takes blocks from the same queue as
+        this thread (`layers.beside`). The worker calls each layer's class
+        `forward`, so a wrapper on an instance's `forward` sees this thread's
+        blocks alone. A block that raises empties the queue, so the other
+        thread stops after its block. No layer keeps its backward state
+        there, so `backward` after an infer-mode forward raises RuntimeError.
+        Train mode runs the whole batch at once: batch-norm statistics depend
+        on it."""
         if x.ndim != 2 or x.shape[1] != self.spec.input_features:
             raise ValueError(
                 f"expected [batch, {self.spec.input_features}] input, got {x.shape}")
-        n = x.shape[0]
+        n, mode = x.shape[0], self.mode
         probs = np.empty((n, self.spec.num_classes))
         rows = INFER_CHUNK
         if layers_mod.QUEUE_PRODUCTS and n >= 16:
             rows = min(rows, -(-n // 2))
-        blocks = ([(0, n)] if self.mode == "train" else
-                  [(start, min(start + rows, n)) for start in range(0, n, rows)])
-        if len(blocks) > 1 and layers_mod.QUEUE_PRODUCTS:
-            self._forward_shared(blocks, x, probs)
-        else:
-            _run_blocks(blocks, [layer.forward for layer in self.layers], x, probs, self.mode)
-        return probs
-
-    def _forward_shared(self, blocks, x: np.ndarray, probs: np.ndarray):
-        """Infer `x` into `probs` over its (start, stop) `blocks` of rows, which
-        this thread and the worker take in turn from one queue. The worker
-        calls each layer's class `forward`, so a wrapper on an instance's
-        `forward` sees this thread's blocks alone. A block that raises
-        empties the queue, so the other thread stops after its block; the
-        worker's exception is raised here once both threads are done."""
-        pending, lock = deque(blocks), threading.Lock()
-
-        def take():
-            with lock:
-                return pending.popleft() if pending else None
+        pending = deque([(0, n)] if mode == "train" else
+                        [(start, min(start + rows, n)) for start in range(0, n, rows)])
+        lock = threading.Lock()
 
         def run(forwards):
             try:
-                _run_blocks(iter(take, None), forwards, x, probs, "infer")
+                while True:
+                    with lock:
+                        if not pending:
+                            return
+                        start, stop = pending.popleft()
+                    out = x[start:stop, :, None]
+                    for forward in forwards:
+                        out = forward(out, mode=mode)
+                    probs[start:stop] = softmax(out)
             except BaseException:
                 with lock:
                     pending.clear()
                 raise
 
-        job = layers_mod._submit(
-            partial(run, [partial(type(layer).forward, layer) for layer in self.layers]))
-        try:
+        shared = len(pending) > 1 and layers_mod.QUEUE_PRODUCTS
+        with beside(partial(run, [partial(type(layer).forward, layer) for layer in self.layers])
+                    if shared else None):
             run([layer.forward for layer in self.layers])
-        finally:
-            layers_mod._join(job)
+        return probs
 
     def backward(self, delta: np.ndarray) -> np.ndarray:
         """Propagate a loss gradient through the stack.

@@ -7,15 +7,13 @@ weight."""
 import dataclasses
 import io
 import os
-import subprocess
-import sys
 import textwrap
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blas_subprocess import run_python
 from lunet import LuNetSpec, build
 from lunet.binio import Reader, write_tensor
 from lunet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -23,7 +21,6 @@ from lunet.layers import Conv1D, Dense
 from lunet.model import tensor_shapes
 from lunet.tensor import Rng
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 PAPER = LuNetSpec(input_features=122, num_classes=2)
 SLACK = 64 << 10  # layer objects, names and dicts
 
@@ -169,8 +166,6 @@ def test_hostile_spec_fails_before_any_layer_is_built(tmp_path):
     with pytest.raises(CheckpointError,
                        match=r"'level0.conv.filters' has shape \(4, 1, 3\), expected \(1024, 1, 3\)"):
         load_checkpoint(path)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
     # the peak RSS of this process's memory map (VmHWM): a child's ru_maxrss
     # starts at its parent's peak on Linux, and pytest's is larger than the
     # growth this bounds
@@ -190,8 +185,7 @@ def test_hostile_spec_fails_before_any_layer_is_built(tmp_path):
         print(code, (peak_kib() - before) // 1024)
         print(err.getvalue())
     """)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = run_python("-c", code, timeout=120)
     assert proc.returncode == 0, proc.stderr
     status, err = proc.stdout.split("\n", 1)
     exit_code, grown_mib = map(int, status.split())

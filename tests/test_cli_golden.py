@@ -9,13 +9,11 @@ second CPU hands layer products to the `lunet-grads` worker, and must give
 the same bytes.
 """
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from blas_subprocess import run_python
 from lunet.cli import EXIT_OK, main
 
 TESTS = Path(__file__).resolve().parent
@@ -40,11 +38,8 @@ def test_stdout_and_report_match_the_golden_bytes(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_one_blas_thread_gives_the_golden_bytes(tmp_path, name):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), env.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-m", "lunet.cli", *COMMANDS[name],
-                           "--output-dir", str(tmp_path)],
-                          env=env, capture_output=True, timeout=300)
+    proc = run_python("-m", "lunet.cli", *COMMANDS[name], "--output-dir", str(tmp_path),
+                      blas_threads=1, text=False)
     assert proc.returncode == EXIT_OK, proc.stderr.decode("utf-8", "replace")
     assert proc.stdout == (GOLDEN_DIR / f"{name}.stdout").read_bytes()
     assert ((tmp_path / "report.jsonl").read_bytes()

@@ -734,13 +734,13 @@ class TestByHalves:
         monkeypatch.setattr(layers, "QUEUE_PRODUCTS", request.param)
         monkeypatch.setattr(layers, "BLOCK_BYTES", 5 * HALVES_ROW_BYTES)
         calls = []
-        submit = layers._submit
+        start = layers._start
 
         def counting(fn):
             calls.append(fn)
-            return submit(fn)
+            return start(fn)
 
-        monkeypatch.setattr(layers, "_submit", counting)
+        monkeypatch.setattr(layers, "_start", counting)
         return request.param, calls
 
     @pytest.mark.parametrize("submits", [True, False], indirect=True,

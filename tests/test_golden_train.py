@@ -6,13 +6,11 @@ and two BLAS threads. At one BLAS thread a host with a second CPU hands conv
 rows, LSTM input products and weight-gradient products to the `lunet-grads`
 worker; at two it runs them inline."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from blas_subprocess import run_python
 from golden_train import first_mismatch
 
 TESTS = Path(__file__).resolve().parent
@@ -25,10 +23,5 @@ def test_training_matches_the_golden_bits():
 
 @pytest.mark.parametrize("blas_threads", [1, 2])
 def test_training_matches_the_golden_bits_at_a_blas_thread_count(blas_threads):
-    env = dict(os.environ)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = str(blas_threads)
-    env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), env.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, str(TESTS / "golden_train.py"), "--check"],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = run_python(str(TESTS / "golden_train.py"), "--check", blas_threads=blas_threads)
     assert proc.returncode == 0, f"first differing tensor: {proc.stdout}{proc.stderr}"

@@ -13,17 +13,16 @@ import concurrent.futures
 import hashlib
 import json
 import os
-import subprocess
 import sys
-import textwrap
 import threading
 import time
 import warnings
-from pathlib import Path
+from textwrap import dedent
 
 import numpy as np
 import pytest
 
+from blas_subprocess import run_python
 from lunet import layers
 from lunet.cli import EXIT_OK, main
 from lunet.data import apply_standardization
@@ -31,9 +30,6 @@ from lunet.layers import LSTM, Conv1D, Layer
 from lunet.model import LuNetSpec, build
 from lunet.tensor import Rng
 from lunet.train import RmsProp, cross_entropy_delta, iter_batches, one_hot, TrainConfig
-
-TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src"
 
 
 def train_digests(steps: int = 3, batch: int = 32) -> dict[str, str]:
@@ -64,32 +60,28 @@ def train_digests(steps: int = 3, batch: int = 32) -> dict[str, str]:
     return out
 
 
-def run_python(code: str, blas_threads: int | None = None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(TESTS), env.get("PYTHONPATH", "")])
-    if blas_threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = str(blas_threads)
-    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
-                          capture_output=True, text=True, timeout=300)
-
-
 def late_jobs(monkeypatch) -> list:
-    """Make `_submit` hand the worker each job to start 0.3 s late; the list
+    """Make `_start` hand the worker each job to start 0.3 s late; the list
     returned holds the futures of the jobs it handed over."""
-    submit, futures = layers._submit, []
+    start, futures = layers._start, []
 
     def late(fn):
         def job():
             time.sleep(0.3)
             fn()
 
-        handed = submit(job)
-        futures.append(handed[0])
-        return handed
+        futures.append(start(job))
+        return futures[-1]
 
-    monkeypatch.setattr(layers, "_submit", late)
+    monkeypatch.setattr(layers, "_start", late)
     return futures
+
+
+def started(future):
+    """`future` once the worker has run it, so that no thread can cancel it
+    and run its job instead."""
+    concurrent.futures.wait([future])
+    return future
 
 
 def paper_width_model(seed: int = 1):
@@ -135,7 +127,7 @@ class TestBitwise:
             from test_grad_worker import train_digests
             print(json.dumps(train_digests()))
         """
-        runs = {n: run_python(code, blas_threads=n) for n in (1, 2)}
+        runs = {n: run_python("-c", dedent(code), blas_threads=n) for n in (1, 2)}
         for n, proc in runs.items():
             assert proc.returncode == 0, f"BLAS {n} threads: {proc.stderr}"
         one, two = (json.loads(runs[n].stdout) for n in (1, 2))
@@ -172,16 +164,16 @@ class TestWorker:
         model.set_mode("train")
         fresh.set_mode("train")
         want = fresh.forward(x)
-        submit = layers._submit
+        start = layers._start
 
         def fail():
             raise FloatingPointError("forward job failed")
 
-        monkeypatch.setattr(layers, "_submit", lambda fn: submit(fail))
+        monkeypatch.setattr(layers, "_start", lambda fn: started(start(fail)))
         with pytest.raises(FloatingPointError, match="forward job failed"):
             model.forward(x)
         # the worker lives on, and the next forward runs and is right
-        monkeypatch.setattr(layers, "_submit", submit)
+        monkeypatch.setattr(layers, "_start", start)
         np.testing.assert_array_equal(model.forward(x), want)
         assert [t.name for t in threading.enumerate()].count("lunet-grads") == 1
 
@@ -215,21 +207,21 @@ class TestWorker:
         x = Rng(13).normal((9, 7))
         mean, std = x.mean(axis=0), x.std(axis=0)
         want = apply_standardization(x, mean, std)
-        submit, halves = layers._submit, []
+        start, halves = layers._start, []
 
         def fail(fn):
             halves.append(fn)
 
             def job():
                 raise ValueError("table half failed")
-            return submit(job)
+            return started(start(job))
 
-        monkeypatch.setattr(layers, "_submit", fail)
+        monkeypatch.setattr(layers, "_start", fail)
         with pytest.raises(ValueError, match="table half failed"):
             apply_standardization(x, mean, std)
         assert len(halves) == 1
         # the worker lives on, and the next call runs and is right
-        monkeypatch.setattr(layers, "_submit", submit)
+        monkeypatch.setattr(layers, "_start", start)
         np.testing.assert_array_equal(apply_standardization(x, mean, std), want)
         assert [t.name for t in threading.enumerate()].count("lunet-grads") == 1
 
@@ -244,9 +236,7 @@ class TestWorker:
             return np.full(2, 1e308) * 10.0
 
         def run_on_worker():
-            job = layers._submit(overflow)
-            concurrent.futures.wait([job[0]])  # so that _join cannot run it here
-            layers._join(job)
+            layers._start(overflow).result()
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # process-wide
@@ -271,15 +261,14 @@ class TestWorker:
                 out = apply_standardization(x, mean, std)
             assert out[-1, 0] == np.inf and np.isfinite(out[:-1]).all()
 
-    def test_join_runs_a_job_the_worker_has_not_started(self, monkeypatch):
+    def test_beside_runs_a_job_the_worker_has_not_started(self, monkeypatch):
         # a forward does not wait behind a busy worker: its own job runs here
         monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
         release, ran_on = threading.Event(), []
-        busy = layers._submit(lambda: release.wait(timeout=60))
-        job = layers._submit(lambda: ran_on.append(threading.current_thread().name))
-        layers._join(job)
-        release.set()
-        layers._join(busy)
+        with layers.beside(lambda: release.wait(timeout=60)):
+            with layers.beside(lambda: ran_on.append(threading.current_thread().name)):
+                pass
+            release.set()
         assert ran_on == [threading.current_thread().name]
 
     def test_many_queueing_threads_lose_no_update(self, monkeypatch):
@@ -317,7 +306,7 @@ class TestWorker:
     def test_no_thread_where_it_cannot_pay(self, blas_threads, cpus):
         if cpus == "one" and not hasattr(os, "sched_setaffinity"):
             pytest.skip("cannot pin the process to one CPU here")
-        proc = run_python(f"""
+        proc = run_python("-c", dedent(f"""
             import os, threading
             if {cpus!r} == "one":
                 os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
@@ -328,7 +317,7 @@ class TestWorker:
             m = build(LuNetSpec(input_features=16, num_classes=2, levels=(4,)))
             fit(m, Rng(1).normal((8, 16)), np.array([0, 1] * 4), TrainConfig(epochs=1, batch_size=4))
             print([t.name for t in threading.enumerate()])
-        """, blas_threads=blas_threads)
+        """), blas_threads=blas_threads)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "['MainThread']"
 
@@ -378,7 +367,7 @@ class TestWorker:
         argv = ["--dataset", "synthetic", "--levels", "4", "--seed", "2",
                 "--output-dir", str(tmp_path)]
         assert main(["train", *argv, "--epochs", "1", "--checkpoint", str(ckpt)]) == EXIT_OK
-        proc = run_python(f"""
+        proc = run_python("-c", dedent(f"""
             import os, threading
             if {cpus!r} == "one":
                 os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
@@ -389,19 +378,19 @@ class TestWorker:
             m.predict_class(np.zeros((3, 16)))
             assert main(["evaluate", *{argv!r}, "--checkpoint", {str(ckpt)!r}]) == 0
             print(sorted(t.name for t in threading.enumerate()))
-        """, blas_threads=blas_threads)
+        """), blas_threads=blas_threads)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == str(["MainThread"] + ["lunet-grads"] * workers)
 
     def test_crossval_starts_one_thread(self, tmp_path):
-        proc = run_python(f"""
+        proc = run_python("-c", dedent(f"""
             import threading
             from lunet.cli import main
             assert main(["crossval", "--dataset", "synthetic", "--levels", "4",
                          "--folds", "3", "--epochs", "1",
                          "--output-dir", {str(tmp_path)!r}]) == 0
             print(sorted(t.name for t in threading.enumerate()))
-        """, blas_threads=1)
+        """), blas_threads=1)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "['MainThread', 'lunet-grads']"
 
@@ -410,7 +399,7 @@ class TestWorker:
     def test_only_a_table_of_two_blocks_starts_the_worker(self):
         # encode and standardize split a table that holds 2 x BLOCK_BYTES;
         # a smaller one, such as evaluate's, runs on the calling thread alone
-        proc = run_python("""
+        proc = run_python("-c", dedent("""
             import threading
             import numpy as np
             from lunet import data, layers
@@ -428,7 +417,7 @@ class TestWorker:
             for n in (1024, 6000):
                 share = encode_and_standardize(n)
                 print(round(share, 2), sorted(t.name for t in threading.enumerate()))
-        """, blas_threads=1)
+        """), blas_threads=1)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-2:] == ["0.18 ['MainThread']",
                                                  "1.08 ['MainThread', 'lunet-grads']"]
@@ -438,7 +427,7 @@ class TestWorker:
     def test_worker_is_kept_off_the_queueing_threads_cpu(self):
         # the queueing thread is pinned to each CPU in turn; the worker pins
         # itself off that CPU when it runs the next job queued from there
-        proc = run_python("""
+        proc = run_python("-c", dedent("""
             import os, threading
             import numpy as np
             from lunet import layers
@@ -458,23 +447,23 @@ class TestWorker:
                 assert os.sched_getaffinity(worker.native_id) == cpus - {cpu}
             os.sched_setaffinity(0, cpus)
             print("ok")
-        """, blas_threads=1)
+        """), blas_threads=1)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "ok"
 
     def test_importing_lunet_loads_no_executor_module(self):
         # concurrent.futures loads logging: start-up time that runs which
         # never queue a product (such as a data ingest) would pay
-        proc = run_python("""
+        proc = run_python("-c", dedent("""
             import sys
             import lunet.cli
             print("concurrent.futures" in sys.modules)
-        """, blas_threads=1)
+        """), blas_threads=1)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
 
     def test_forked_child_trains_with_its_own_worker(self):
-        proc = run_python("""
+        proc = run_python("-c", dedent("""
             import os, threading
             import numpy as np
             from lunet import layers
@@ -500,6 +489,6 @@ class TestWorker:
                 os._exit(0 if ok else 1)
             _, status = os.waitpid(pid, 0)
             print(os.waitstatus_to_exitcode(status))
-        """, blas_threads=1)
+        """), blas_threads=1)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0"

@@ -5,13 +5,12 @@ threads. It runs its rows in blocks of `INFER_CHUNK`, so the traced peak of
 a prediction does not grow with its row count."""
 
 import os
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from blas_subprocess import run_python
 from golden_infer import infer_model
 from infer_blocks import first_mismatch
 from lunet.model import INFER_CHUNK
@@ -29,12 +28,7 @@ def test_forward_is_bitwise_one_pass_over_all_rows():
 @pytest.mark.slow
 @pytest.mark.parametrize("blas_threads", [1, 2])
 def test_forward_is_bitwise_one_pass_at_a_blas_thread_count(blas_threads):
-    env = dict(os.environ)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = str(blas_threads)
-    env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), env.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, str(TESTS / "infer_blocks.py")],
-                          env=env, capture_output=True, text=True, timeout=600)
+    proc = run_python(str(TESTS / "infer_blocks.py"), blas_threads=blas_threads, timeout=600)
     assert proc.returncode == 0, f"first differing case: {proc.stdout}{proc.stderr}"
 
 
@@ -60,15 +54,9 @@ def test_prediction_peak_does_not_grow_with_the_rows():
 def test_prediction_peak_does_not_grow_with_the_rows_at_one_blas_thread():
     # the worker is on there, so the calling thread and the worker each hold
     # a block of their own
-    env = dict(os.environ)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS),
-                                         env.get("PYTHONPATH", "")])
     code = ("from lunet import layers\n"
             "from test_infer_blocks import test_prediction_peak_does_not_grow_with_the_rows\n"
             "assert layers.QUEUE_PRODUCTS\n"
             "test_prediction_peak_does_not_grow_with_the_rows()\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=600)
+    proc = run_python("-c", code, blas_threads=1, timeout=600)
     assert proc.returncode == 0, proc.stderr

@@ -10,14 +10,13 @@ calling thread once both have stopped; and no job is left on the worker when
 the forward returns."""
 
 import os
-import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blas_subprocess import run_python
 from golden_infer import infer_model
 from lunet import layers, model as model_mod
 from lunet.layers import (LSTM, BatchNorm, Conv1D, Dense, Dropout, GlobalAvgPool, MaxPool1D,
@@ -25,27 +24,29 @@ from lunet.layers import (LSTM, BatchNorm, Conv1D, Dense, Dropout, GlobalAvgPool
 from lunet.model import INFER_CHUNK
 from lunet.tensor import Rng
 
-TESTS = Path(__file__).resolve().parent
 BATCHES = (1, 2, 5, 6, 7, 8, 9, 16, 24, 31, 32, 33, 34, 48, 63, 64, 65, 66, 97, 127, 128, 129,
            130, 191, 192, 193, 194, 1024)
 
 
 def shared_mismatch() -> str | None:
     """The first (classes, rows) case where a forward with blocks on both
-    threads is not bitwise one with every product inline; None if all match."""
+    threads is not bitwise the same rows of one all-inline forward over
+    `max(BATCHES)` rows; None if all match. The inline forward is
+    batch-invariant (`infer_blocks.py` checks it), so one pass per class
+    count serves every batch."""
     x = Rng(12).normal((max(BATCHES), 122))
     queue = layers.QUEUE_PRODUCTS
     try:
         for classes in (2, 5):
             model = infer_model(classes)
+            layers.QUEUE_PRODUCTS = False
+            inline = model.forward(x)
+            layers.QUEUE_PRODUCTS = True
             for rows in BATCHES:
-                layers.QUEUE_PRODUCTS = True
                 shared = model.forward(x[:rows])
-                layers.QUEUE_PRODUCTS = False
-                inline = model.forward(x[:rows])
-                if shared.tobytes() != inline.tobytes():
+                if shared.tobytes() != inline[:rows].tobytes():
                     return (f"classes {classes}, {rows} rows: "
-                            f"{np.count_nonzero(shared != inline)} values differ")
+                            f"{np.count_nonzero(shared != inline[:rows])} values differ")
     finally:
         layers.QUEUE_PRODUCTS = queue
     return None
@@ -54,22 +55,38 @@ def shared_mismatch() -> str | None:
 def test_blocks_of_infer_chunk_rows_are_shared_where_there_are_two(monkeypatch):
     monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
     model, x = infer_model(2), Rng(7).normal((257, 122))
-    shared, forward_shared = [], model_mod.LuNetModel._forward_shared
+    taken, handed, class_forward, start = [], [], Conv1D.forward, layers._start
 
-    def recording(self, blocks, x, probs):
-        shared.append((len(x), blocks))
-        return forward_shared(self, blocks, x, probs)
+    def first_layer(self, block, mode="train"):
+        # the first layer's input is a view of rows [first, first + len) of x
+        if self is model.layers[0]:
+            first = (block.ctypes.data - x.ctypes.data) // x.strides[0]
+            taken.append((threading.current_thread().name, (first, first + len(block))))
+        return class_forward(self, block, mode=mode)
 
-    monkeypatch.setattr(model_mod.LuNetModel, "_forward_shared", recording)
+    def counting(fn):
+        handed.append(fn)
+        return start(fn)
+
+    monkeypatch.setattr(Conv1D, "forward", first_layer)
+    monkeypatch.setattr(layers, "_start", counting)
+    blocks, shared = [], []
     for rows in (1, 5, 15, 16, 64, 65, 66, 129, 130):
+        del taken[:], handed[:]
         model.forward(x[:rows])
+        blocks.append((rows, sorted(block for _, block in taken)))
+        if handed:
+            shared.append(rows)
+        else:
+            assert {name for name, _ in taken} == {threading.current_thread().name}
     # 16 to 2 x INFER_CHUNK rows make two blocks, the first of half the rows
     # rounded up, fewer make one; larger calls make blocks of INFER_CHUNK
-    # rows and what is left
-    assert shared == [(16, [(0, 8), (8, 16)]),
+    # rows and what is left; the worker joins only where there are two
+    assert blocks == [(1, [(0, 1)]), (5, [(0, 5)]), (15, [(0, 15)]), (16, [(0, 8), (8, 16)]),
                       (64, [(0, 32), (32, 64)]), (65, [(0, 33), (33, 65)]),
                       (66, [(0, 33), (33, 66)]), (129, [(0, 64), (64, 128), (128, 129)]),
                       (130, [(0, 64), (64, 128), (128, 130)])]
+    assert shared == [16, 64, 65, 66, 129, 130]
     # the calling thread's blocks, as an instance wrapper sees them (as
     # bench/spans.py's Tracer.wrap does): whole blocks of INFER_CHUNK rows,
     # and the one-row last one
@@ -86,18 +103,21 @@ def test_blocks_of_infer_chunk_rows_are_shared_where_there_are_two(monkeypatch):
 
 @pytest.mark.parametrize("rows", [1, 5, 8, 9, 15, 16, 32, 64, 65, 66, 129, 1024])
 def test_infer_forward_hands_the_worker_its_blocks_alone(monkeypatch, rows):
-    # the one job an infer forward submits is the model's block job, for a
-    # call of 16 rows or more; no layer submits a job of its own, on either
-    # thread
+    # the one job an infer forward hands over is the model's block job, for
+    # a call of 16 rows or more; no layer hands over a job of its own, on
+    # either thread
     monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
     model, x = infer_model(2), Rng(8).normal((rows, 122))
-    submit, callers = layers._submit, []
+    start, callers = layers._start, []
 
     def recording(fn):
-        callers.append(sys._getframe(1).f_globals["__name__"])
-        return submit(fn)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name in ("beside", "__enter__"):  # to the one that entered it
+            frame = frame.f_back
+        callers.append(frame.f_globals["__name__"])
+        return start(fn)
 
-    monkeypatch.setattr(layers, "_submit", recording)
+    monkeypatch.setattr(layers, "_start", recording)
     model.forward(x)
     assert callers == (["lunet.model"] if rows >= 16 else [])
 
@@ -110,17 +130,11 @@ def test_shared_forward_is_bitwise_an_inline_one():
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                     reason="needs a process that may run on 2 CPUs")
 def test_shared_forward_is_bitwise_an_inline_one_at_one_blas_thread():
-    env = dict(os.environ)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS),
-                                         env.get("PYTHONPATH", "")])
     code = ("from lunet import layers\n"
             "from test_shared_infer import shared_mismatch\n"
             "assert layers.QUEUE_PRODUCTS\n"
             "print(shared_mismatch() or 'ok')\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=600)
+    proc = run_python("-c", code, blas_threads=1, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "ok"
 
@@ -222,15 +236,13 @@ def test_no_job_is_left_on_the_worker(monkeypatch):
     monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
     model, x = infer_model(2), Rng(5).normal((256, 122))
     wait_for_the_worker(monkeypatch)
-    submit, queued = layers._submit, []
+    start, queued = layers._start, []
 
     def recording(fn):
-        job = submit(fn)
-        if job is not None:
-            queued.append(job[0])
-        return job
+        queued.append(start(fn))
+        return queued[-1]
 
-    monkeypatch.setattr(layers, "_submit", recording)
+    monkeypatch.setattr(layers, "_start", recording)
     model.predict_class(x)
     # the one block job: no layer hands the worker a job in infer mode
     assert len(queued) == 1 and queued[0].done()

@@ -10,6 +10,9 @@ variable or keyword argument of the same name does not keep it alive. Names
 are matched bare, not by class: two methods with the same name still hide
 each other (an unused `LSTM.step` once passed because `RmsProp.step` is
 called).
+
+A name with a leading underscore belongs to its module: no other module in
+`src/lunet` imports it or reads it through the module's name.
 """
 
 import ast
@@ -74,3 +77,29 @@ def test_every_src_name_has_a_production_caller():
         and bare not in (attrs if member else used) and bare not in ALLOWED)
     assert not unused, f"defined in src/lunet but never used there: {unused}"
     assert not ALLOWED & used, "an allowlisted name gained a caller; drop it from ALLOWED"
+
+
+def private_reads(tree: ast.Module):
+    """Every name with a leading underscore (dunders aside) that `tree` reads
+    from another lunet module: `from .x import _name`, or `x._name` where
+    `x` is bound to a lunet module by `from . import x` (with or without an
+    `as`)."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_") and not alias.name.endswith("__"):
+                    yield f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.endswith("__")):
+            yield f"{node.value.id}.{node.attr}"
+
+
+def test_no_module_reads_another_modules_private_names():
+    reads = sorted(f"{path.name}: {name}" for path in SRC.glob("*.py")
+                   for name in private_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not reads, f"private names read across src/lunet modules: {reads}"
