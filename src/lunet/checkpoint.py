@@ -8,14 +8,10 @@ Layout (all integers and floats little-endian):
   f64 data)
 
 The two name lists are binio string lists, so a name may hold any character.
-Versions 1 and 2 joined each list with "|" into the meta block, so a name
-holding "|" or a newline did not survive; they still load. Versions 2 and 3
-store each LSTM as gate-stacked `levelK.lstm.U`, `.W` and `.b` with the gates
-as column blocks p|g|f|q. Version 1 stored one tensor per gate
-(`levelK.lstm.U_p`, ..., `.b_q`); the loader stacks the four gate tensors in
-p|g|f|q order. Spec blocks written before kernel, pool and dropout became
-model constants also hold kernel_size, pool_size and dropout_rate; such a
-file loads only where each equals its constant.
+Each LSTM is stored as gate-stacked `levelK.lstm.U`, `.W` and `.b` with the
+gates as column blocks p|g|f|q. Only version 3 loads: a file of any other
+version, or whose spec block holds a key other than the `LuNetSpec` fields,
+raises CheckpointError naming it.
 """
 
 from __future__ import annotations
@@ -79,15 +75,14 @@ def load_checkpoint(path):
         raise r.error("bad checkpoint magic")
     r.take(len(MAGIC))
     (version,) = r.unpack("<I")
-    if version not in (1, 2, VERSION):
+    if version != VERSION:
         raise r.error(f"unsupported checkpoint version {version}", len(MAGIC))
     spec_at = r.pos
     spec_map = r.block()
     meta_at = r.pos
     meta = r.block()
-    names_at = r.pos if version >= 3 else meta_at
-    if version >= 3:
-        class_names, encoded_columns = r.strings(), r.strings()
+    names_at = r.pos
+    class_names, encoded_columns = r.strings(), r.strings()
     tensors_at = r.pos
     (count,) = r.unpack("<I")
     tensors = dict(r.tensor() for _ in range(count))
@@ -101,9 +96,6 @@ def load_checkpoint(path):
         raise r.error(f"unbuildable model spec: {type(e).__name__}: {e}", spec_at) from None
     try:
         task = meta["task"]
-        if version < 3:
-            class_names = meta["class_names"].split("|")
-            encoded_columns = meta["encoded_columns"].split("|") if meta["encoded_columns"] else []
     except KeyError as e:
         raise r.error(f"missing metadata key {e}", meta_at) from None
     if task not in ("binary", "multi"):
@@ -124,12 +116,6 @@ def load_checkpoint(path):
 
     mean = stored("standardize.mean", (spec.input_features,))
     std = stored("standardize.std", (spec.input_features,))
-    if version == 1:
-        for name, shape in shapes.items():
-            if name.rsplit(".", 2)[1] == "lstm":
-                gate_shape = shape[:-1] + (shape[-1] // 4,)
-                tensors[name] = np.concatenate(
-                    [stored(f"{name}_{gate}", gate_shape) for gate in "pgfq"], axis=-1)
     values = {name: stored(name, shape) for name, shape in shapes.items()}
     model = model_mod.build(spec, init_rng=_Undrawn())
     for name, layer, pname, _ in model.named_params():

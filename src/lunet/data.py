@@ -418,13 +418,13 @@ def _merged(parts: list) -> tuple[list, np.ndarray]:
 
 def _by_halves(fill, out: np.ndarray):
     """Call `fill(lo, hi)` to write rows [lo, hi) of `out`, for all its rows:
-    where `out` holds at least 2 x `layers.BLOCK_BYTES` and the worker can pay
-    (`layers.QUEUE_PRODUCTS`), the second half beside this thread's first
-    (`layers.beside`), else all of them here. Each element gets the
+    where `out` holds at least 2 x `layers.BLOCK_BYTES`, the second half
+    beside this thread's first (`layers.beside`, which runs it here where the
+    worker cannot pay), else all of them in one call. Each element gets the
     operation it gets in one pass, so the result is bitwise the same either
     way."""
     n = len(out)
-    if not layers.QUEUE_PRODUCTS or out.nbytes < 2 * layers.BLOCK_BYTES:
+    if out.nbytes < 2 * layers.BLOCK_BYTES:
         fill(0, n)
         return
     with layers.beside(partial(fill, n // 2, n)):

@@ -17,7 +17,7 @@ from .layers import (LSTM, BatchNorm, Conv1D, Dense, Dropout, GlobalAvgPool,
 from .tensor import Rng, softmax
 
 
-# The paper's fixed architecture; older checkpoints record it (see from_mapping)
+# The paper's fixed architecture, which no spec or checkpoint records
 KERNEL_SIZE = 3
 POOL_SIZE = 2
 DROPOUT_RATE = 0.5
@@ -55,10 +55,9 @@ class LuNetSpec:
 
     @classmethod
     def from_mapping(cls, m: dict[str, str]) -> "LuNetSpec":
-        for key, fixed in (("kernel_size", KERNEL_SIZE), ("pool_size", POOL_SIZE),
-                           ("dropout_rate", DROPOUT_RATE)):
-            if key in m and type(fixed)(m[key]) != fixed:
-                raise ValueError(f"{key} is {m[key]}, but lunet's is fixed at {fixed}")
+        unknown = [key for key in m if key not in cls.__dataclass_fields__]
+        if unknown:
+            raise ValueError(f"unknown spec key {unknown[0]!r}")
         return cls(
             input_features=int(m["input_features"]),
             num_classes=int(m["num_classes"]),

@@ -7,20 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lunet import LuNetSpec, build
-from lunet.checkpoint import (MAGIC, VERSION, CheckpointError, load_checkpoint,
-                              save_checkpoint)
+from lunet.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from lunet.cli import EXIT_DATA, main
 from lunet.tensor import Rng
 from lunet.train import RmsProp, TrainConfig, train_epoch
 
-# A version-1 checkpoint (one tensor per LSTM gate) of a trained
-# LuNetSpec(input_features=32, num_classes=3, levels=(4,), final_conv_filters=4,
-# init_seed=3), with its infer-mode outputs on Rng(4).normal((5, 32)).
-V1_CHECKPOINT = Path(__file__).resolve().parent / "data" / "checkpoint_v1.lunet"
-V1_PROBS = V1_CHECKPOINT.with_name("checkpoint_v1_probs.npy")
-# A version-2 checkpoint (names joined with "|" into the meta block) of the
-# `trained_model` fixture's model, saved as `save_default` saves it.
-V2_CHECKPOINT = V1_CHECKPOINT.with_name("checkpoint_v2.lunet")
+# A checkpoint of a trained LuNetSpec(input_features=32, num_classes=3,
+# levels=(4,), final_conv_filters=4, init_seed=3), with its infer-mode outputs
+# on Rng(4).normal((5, 32)); the outputs were recorded when the model was
+# trained, before the file was rewritten in the current format.
+TRAINED_CHECKPOINT = Path(__file__).resolve().parent / "data" / "checkpoint_trained.lunet"
+TRAINED_PROBS = TRAINED_CHECKPOINT.with_name("checkpoint_trained_probs.npy")
 
 
 @pytest.fixture()
@@ -80,54 +77,26 @@ class TestRoundTrip:
         assert loaded.spec == model.spec
 
 
-class TestVersion1:
+class TestTrainedCheckpoint:
     def test_loads_with_bitwise_identical_outputs(self):
-        assert V1_CHECKPOINT.read_bytes()[len(MAGIC):len(MAGIC) + 4] == struct.pack("<I", 1)
-        model, mean, std, class_names, cols, task = load_checkpoint(V1_CHECKPOINT)
+        assert TRAINED_CHECKPOINT.read_bytes()[len(MAGIC):len(MAGIC) + 4] == struct.pack("<I", 3)
+        model, mean, std, class_names, cols, task = load_checkpoint(TRAINED_CHECKPOINT)
         np.testing.assert_array_equal(model.forward(Rng(4).normal((5, 32))),
-                                      np.load(V1_PROBS))
+                                      np.load(TRAINED_PROBS))
         assert class_names == ["a", "b", "c"]
         assert cols == [f"col{i}" for i in range(32)] and task == "multi"
         assert mean.shape == std.shape == (32,)
 
-    def test_resave_writes_current_version_with_stacked_gates(self, tmp_path):
-        model, mean, std, class_names, cols, task = load_checkpoint(V1_CHECKPOINT)
-        path = tmp_path / "v2.lunet"
+    def test_resave_is_byte_identical(self, tmp_path):
+        model, mean, std, class_names, cols, task = load_checkpoint(TRAINED_CHECKPOINT)
+        path = tmp_path / "m.lunet"
         save_checkpoint(path, model, mean, std, class_names, cols, task)
-        blob = path.read_bytes()
-        assert blob[len(MAGIC):len(MAGIC) + 4] == struct.pack("<I", VERSION)
-        assert b"level0.lstm.U_p" not in blob and b"level0.lstm.U" in blob
-        reloaded, *_ = load_checkpoint(path)
-        x = Rng(4).normal((5, 32))
-        np.testing.assert_array_equal(reloaded.forward(x), model.forward(x))
-
-
-class TestVersion2:
-    def test_loads_with_bitwise_identical_outputs(self, trained_model):
-        model, x = trained_model
-        assert V2_CHECKPOINT.read_bytes()[len(MAGIC):len(MAGIC) + 4] == struct.pack("<I", 2)
-        loaded, mean, std, class_names, cols, task = load_checkpoint(V2_CHECKPOINT)
-        np.testing.assert_array_equal(loaded.forward(x), model.forward(x))
-        assert class_names == ["a", "b", "c"]
-        assert cols == [f"col{i}" for i in range(16)] and task == "multi"
-
-    def test_spec_holding_another_pool_size_exits_3(self, tmp_path, capsys):
-        # pool size is a model constant now; a file that records another one
-        # must not load as a pool-2 model
-        path = tmp_path / "pool3.lunet"
-        path.write_bytes(V2_CHECKPOINT.read_bytes().replace(b"\npool_size=2\n",
-                                                            b"\npool_size=3\n", 1))
-        assert main(["evaluate", "--dataset", "synthetic", "--task", "multi",
-                     "--checkpoint", str(path), "--output-dir", str(tmp_path)]) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert f"{path} byte 11: unbuildable model spec" in err
-        assert "pool_size is 3, but lunet's is fixed at 2" in err
+        assert path.read_bytes() == TRAINED_CHECKPOINT.read_bytes()
 
 
 class TestNames:
     def test_any_character_survives(self, tmp_path, trained_model):
-        # "|" joined the names in versions 1 and 2, and a newline ended the
-        # meta block's line
+        # characters that a "|"-joined list or a key=value line would split on
         model, _ = trained_model
         names = ["a|b", "line\nbreak", "k=v"]
         cols = [f"service=svc|{i}" for i in range(15)] + ["flag=\r\né"]
@@ -144,11 +113,37 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
 
-    def test_unsupported_version(self, tmp_path):
-        path = tmp_path / "v99.lunet"
-        path.write_bytes(MAGIC + struct.pack("<I", 99))
-        with pytest.raises(CheckpointError, match="version"):
+    @pytest.mark.parametrize("version", [1, 2, 4, 99])
+    def test_unsupported_version(self, tmp_path, version):
+        path = tmp_path / f"v{version}.lunet"
+        path.write_bytes(MAGIC + struct.pack("<I", version))
+        with pytest.raises(CheckpointError, match=f"byte 7: unsupported checkpoint "
+                                                  f"version {version}$"):
             load_checkpoint(path)
+
+    def test_old_version_exits_3_through_main(self, tmp_path, capsys):
+        path = tmp_path / "v2.lunet"
+        blob = TRAINED_CHECKPOINT.read_bytes()
+        path.write_bytes(MAGIC + struct.pack("<I", 2) + blob[len(MAGIC) + 4:])
+        assert main(["evaluate", "--dataset", "synthetic", "--task", "multi",
+                     "--checkpoint", str(path), "--output-dir", str(tmp_path)]) == EXIT_DATA
+        assert f"{path} byte 7: unsupported checkpoint version 2" in capsys.readouterr().err
+
+    def test_spec_holding_pool_size_exits_3(self, tmp_path, capsys):
+        # files written before pool size became a model constant record it;
+        # such a file must not load
+        blob = TRAINED_CHECKPOINT.read_bytes()
+        at = len(MAGIC) + 4
+        (n,) = struct.unpack_from("<I", blob, at)
+        spec = blob[at + 4:at + 4 + n] + b"pool_size=2\n"
+        path = tmp_path / "pool.lunet"
+        path.write_bytes(blob[:at] + struct.pack("<I", len(spec)) + spec
+                         + blob[at + 4 + n:])
+        assert main(["evaluate", "--dataset", "synthetic", "--task", "multi",
+                     "--checkpoint", str(path), "--output-dir", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{path} byte 11: unbuildable model spec" in err
+        assert "unknown spec key 'pool_size'" in err
 
     def test_truncated_file(self, tmp_path, trained_model):
         model, _ = trained_model
@@ -206,9 +201,8 @@ def valid_blob(tmp_path_factory):
 @given(data=st.data())
 def test_corrupt_checkpoint_loads_or_raises_checkpoint_error(valid_blob, tmp_path_factory,
                                                              data):
-    source = data.draw(st.sampled_from([valid_blob, V1_CHECKPOINT.read_bytes(),
-                                        V2_CHECKPOINT.read_bytes()]),
-                       label="current, version-1 or version-2 file")
+    source = data.draw(st.sampled_from([valid_blob, TRAINED_CHECKPOINT.read_bytes()]),
+                       label="untrained or trained file")
     n = len(source)
     if data.draw(st.booleans(), label="truncate"):
         blob = source[:data.draw(st.integers(0, n - 1), label="length")]
