@@ -17,7 +17,7 @@ import numpy as np
 
 from . import model as model_mod
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import (SCHEMAS, DataError, DatasetTable, apply_standardization,
+from .data import (SCHEMAS, DataError, DatasetTable, FoldPlan, apply_standardization,
                    fit_standardization, load_csv, prepare_dataset, stratified_kfold,
                    stratified_subsample, synth_dataset, utf8_lines)
 from .metrics import (EvalReport, aggregate_folds, binary_metrics, confusion,
@@ -197,13 +197,6 @@ def _configured(factory, **kwargs):
         raise ConfigError(str(e)) from e
 
 
-def make_spec(cfg: RunConfig, input_features: int, num_classes: int,
-              init_seed: int) -> LuNetSpec:
-    return _configured(
-        LuNetSpec, input_features=input_features, num_classes=num_classes,
-        levels=cfg.levels, final_conv_filters=cfg.final_conv_filters, init_seed=init_seed)
-
-
 def predict_batched(model, features: np.ndarray) -> np.ndarray:
     """Predicted class per row, whatever rows share the call. The model runs
     its infer forward in blocks of `lunet.model.INFER_CHUNK` rows, which this
@@ -226,8 +219,8 @@ def _standardized(table: DatasetTable, mean, std, where: str) -> np.ndarray:
     return x
 
 
-def _train_one_fold(cfg: RunConfig, table: DatasetTable, train_idx, val_idx,
-                    fold: int):
+def _train_one_fold(cfg: RunConfig, table: DatasetTable, plan: FoldPlan, fold: int):
+    train_idx, val_idx = plan.train_indices(fold), plan.val_indices(fold)
     with np.errstate(over="ignore", invalid="ignore"):
         mean, std = fit_standardization(table.features, train_idx)
     finite = np.isfinite(mean) & np.isfinite(std)
@@ -236,7 +229,9 @@ def _train_one_fold(cfg: RunConfig, table: DatasetTable, train_idx, val_idx,
         raise DataError(f"fold {fold}: encoded column {table.encoded_columns[i]!r} overflows "
                         f"standardization (mean {float(mean[i])!r}, std {float(std[i])!r})")
     x = _standardized(table, mean, std, f"fold {fold}: ")
-    spec = make_spec(cfg, x.shape[1], len(table.class_names), cfg.seed + fold)
+    spec = _configured(LuNetSpec, input_features=x.shape[1],
+                       num_classes=len(table.class_names), levels=cfg.levels,
+                       final_conv_filters=cfg.final_conv_filters, init_seed=cfg.seed + fold)
     model = _configured(model_mod.build, spec=spec)
     tc = _configured(TrainConfig, epochs=cfg.epochs, batch_size=cfg.batch_size,
                      seed=cfg.seed + fold)
@@ -244,44 +239,50 @@ def _train_one_fold(cfg: RunConfig, table: DatasetTable, train_idx, val_idx,
     if tc.batch_size > len(train_idx):
         raise ConfigError(f"batch_size {tc.batch_size} exceeds the {len(train_idx)} "
                           f"training rows of fold {fold}")
-    fit(model, x[train_idx], table.labels[train_idx], tc, oc,
-        log=lambda record: print(
-            '{"fold": %d, "epoch": %d, "loss": %.6f, "train_acc": %.6f}' % (fold, *record)))
     try:
+        fit(model, x[train_idx], table.labels[train_idx], tc, oc,
+            log=lambda record: print(
+                '{"fold": %d, "epoch": %d, "loss": %.6f, "train_acc": %.6f}' % (fold, *record)))
         pred = predict_batched(model, x[val_idx])
     except model_mod.NonFiniteProbabilities as e:
         raise FloatingPointError(
             f"fold {fold}: row {int(val_idx[e.row]) + 1} {e.finding}") from None
+    except FloatingPointError as e:
+        raise FloatingPointError(f"fold {fold}: {e}") from None
     cm = confusion(table.labels[val_idx], pred, table.class_names)
     return model, mean, std, cm
 
 
-def write_report(cfg: RunConfig, report: EvalReport):
+def _folds(cfg: RunConfig, k: int, count: int):
+    """Load the run's table, split it k ways and train and validate its
+    folds 0 to `count - 1` in turn, yielding (table, model, mean, std,
+    confusion matrix) for each."""
+    table = load_run_dataset(cfg, k)
+    plan = stratified_kfold(table.labels, k, cfg.seed, table.class_names)
+    for fold in range(count):
+        yield table, *_train_one_fold(cfg, table, plan, fold)
+
+
+def write_report(cfg: RunConfig, cms: list):
+    """Report the confusion matrices of folds 0, 1, ... in `cms`: the report
+    files and the confusion CSVs in `cfg.output_dir`, then stdout."""
+    per_fold = [(fold, binary_metrics(cm), cm) for fold, cm in enumerate(cms)]
+    report = EvalReport(
+        per_fold=per_fold,
+        aggregate=aggregate_folds([ms for _, ms, _ in per_fold]),
+        per_class=per_class_metrics(replace(cms[0], counts=sum(cm.counts for cm in cms))))
     jsonl = render_report(report, "json-lines")
     with open(os.path.join(cfg.output_dir, "report.jsonl"), "w", encoding="utf-8") as fh:
         fh.write(jsonl)
     with open(os.path.join(cfg.output_dir, "report.csv"), "w", encoding="utf-8") as fh:
         fh.write(render_report(report, "csv"))
-    for fold, _, cm in report.per_fold:
+    for fold, cm in enumerate(cms):
         path = os.path.join(cfg.output_dir, f"confusion_fold{fold}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(confusion_csv(cm))
     # machine-parseable first, pretty afterwards
     print(jsonl, end="")
     print(render_report(report, "pretty-table"), end="")
-
-
-def assemble_report(per_fold_cms) -> EvalReport:
-    per_fold = [(fold, binary_metrics(cm), cm)
-                for fold, cm in per_fold_cms]
-    pooled = per_fold_cms[0][1].counts.copy()
-    for _, cm in per_fold_cms[1:]:
-        pooled += cm.counts
-    pooled_cm = replace(per_fold_cms[0][1], counts=pooled)
-    return EvalReport(
-        per_fold=per_fold,
-        aggregate=aggregate_folds([ms for _, ms, _ in per_fold]),
-        per_class=per_class_metrics(pooled_cm))
 
 
 def _make_dirs(*paths: str):
@@ -298,14 +299,7 @@ def cmd_crossval(cfg: RunConfig) -> int:
     if cfg.folds < 2:
         raise ConfigError(f"cross-validation needs folds >= 2, got {cfg.folds}")
     _make_dirs(cfg.output_dir)
-    table = load_run_dataset(cfg, cfg.folds)
-    plan = stratified_kfold(table.labels, cfg.folds, cfg.seed, table.class_names)
-    cms = []
-    for fold in range(cfg.folds):
-        _, _, _, cm = _train_one_fold(cfg, table, plan.train_indices(fold),
-                                      plan.val_indices(fold), fold)
-        cms.append((fold, cm))
-    write_report(cfg, assemble_report(cms))
+    write_report(cfg, [cm for *_, cm in _folds(cfg, cfg.folds, cfg.folds)])
     return EXIT_OK
 
 
@@ -316,13 +310,10 @@ def cmd_train(cfg: RunConfig) -> int:
     _make_dirs(cfg.output_dir, os.path.dirname(ckpt_path) or os.curdir)
     if os.path.isdir(ckpt_path):
         raise ConfigError(f"checkpoint path is a directory: {ckpt_path}")
-    table = load_run_dataset(cfg, TRAIN_FOLDS)
-    plan = stratified_kfold(table.labels, TRAIN_FOLDS, cfg.seed, table.class_names)
-    model, mean, std, cm = _train_one_fold(
-        cfg, table, plan.train_indices(0), plan.val_indices(0), 0)
+    ((table, model, mean, std, cm),) = _folds(cfg, TRAIN_FOLDS, 1)
     save_checkpoint(ckpt_path, model, mean, std, table.class_names,
                     table.encoded_columns, cfg.task)
-    write_report(cfg, assemble_report([(0, cm)]))
+    write_report(cfg, [cm])
     return EXIT_OK
 
 
@@ -348,7 +339,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     x = _standardized(table, mean, std, "")
     pred = predict_batched(model, x)
     cm = confusion(table.labels, pred, class_names)
-    write_report(cfg, assemble_report([(0, cm)]))
+    write_report(cfg, [cm])
     return EXIT_OK
 
 
