@@ -75,10 +75,14 @@ class Reader:
             raise self.error(f"bad utf-8 text: {e.reason}", at) from None
 
     def block(self) -> dict:
+        """The next key=value block; a repeated key raises, naming the block's byte."""
+        at = self.pos
         (n,) = self.unpack("<I")
         out = {}
         for line in self.text(n).splitlines():
             k, _, v = line.partition("=")
+            if k in out:
+                raise self.error(f"repeated key {k!r}", at)
             out[k] = v
         return out
 

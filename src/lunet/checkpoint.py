@@ -10,8 +10,9 @@ Layout (all integers and floats little-endian):
 The two name lists are binio string lists, so a name may hold any character.
 Each LSTM is stored as gate-stacked `levelK.lstm.U`, `.W` and `.b` with the
 gates as column blocks p|g|f|q. Only version 3 loads: a file of any other
-version, or whose spec block holds a key other than the `LuNetSpec` fields,
-raises CheckpointError naming it.
+version, whose spec block holds a key other than the `LuNetSpec` fields or
+whose meta block a key other than `task`, or that repeats a block key or a
+tensor name, raises CheckpointError naming it.
 """
 
 from __future__ import annotations
@@ -85,7 +86,13 @@ def load_checkpoint(path):
     class_names, encoded_columns = r.strings(), r.strings()
     tensors_at = r.pos
     (count,) = r.unpack("<I")
-    tensors = dict(r.tensor() for _ in range(count))
+    tensors = {}
+    for _ in range(count):
+        at = r.pos
+        name, value = r.tensor()
+        if name in tensors:
+            raise r.error(f"repeated tensor {name!r}", at)
+        tensors[name] = value
     if r.pos != len(r.blob):
         raise r.error(f"{len(r.blob) - r.pos} trailing bytes after the last tensor")
     r.blob = b""  # every tensor is a copy: the file's bytes need not outlive the build
@@ -94,10 +101,9 @@ def load_checkpoint(path):
         shapes = model_mod.tensor_shapes(spec)
     except (KeyError, ValueError) as e:
         raise r.error(f"unbuildable model spec: {type(e).__name__}: {e}", spec_at) from None
-    try:
-        task = meta["task"]
-    except KeyError as e:
-        raise r.error(f"missing metadata key {e}", meta_at) from None
+    if list(meta) != ["task"]:
+        raise r.error(f"metadata keys {list(meta)}, expected ['task']", meta_at)
+    task = meta["task"]
     if task not in ("binary", "multi"):
         raise r.error(f"unknown task {task!r}", meta_at)
     if len(class_names) != spec.num_classes:

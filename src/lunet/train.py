@@ -120,18 +120,24 @@ def train_epoch(model: LuNetModel, features: np.ndarray, labels: np.ndarray,
     model.set_mode("train")
     classes = model.spec.num_classes
     losses, correct, seen = [], 0, 0
-    for batch in iter_batches(n, tc, epoch):
-        xb, yb = features[batch], labels[batch]
-        probs = model.forward(xb)
-        y = one_hot(yb, classes)
-        loss = cross_entropy_loss(probs, y)
-        if not np.isfinite(loss):
-            raise FloatingPointError("non-finite training loss")
-        losses.append(loss)
-        correct += int(np.sum(np.argmax(probs, axis=1) == yb))
-        seen += len(batch)
-        model.backward(cross_entropy_delta(probs, y))
-        optimizer.step(model)
+    # numpy's overflow warnings are off: a step that goes non-finite raises
+    # instead, naming the epoch and batch (each counted from 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, batch in enumerate(iter_batches(n, tc, epoch), 1):
+            try:
+                xb, yb = features[batch], labels[batch]
+                probs = model.forward(xb)
+                y = one_hot(yb, classes)
+                loss = cross_entropy_loss(probs, y)
+                if not np.isfinite(loss):
+                    raise FloatingPointError("non-finite training loss")
+                losses.append(loss)
+                correct += int(np.sum(np.argmax(probs, axis=1) == yb))
+                seen += len(batch)
+                model.backward(cross_entropy_delta(probs, y))
+                optimizer.step(model)
+            except FloatingPointError as e:
+                raise FloatingPointError(f"epoch {epoch + 1}, batch {b}: {e}") from None
     return float(np.mean(losses)), correct / seen
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lunet import LuNetSpec, build
+from lunet.binio import Reader
 from lunet.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from lunet.cli import EXIT_DATA, main
 from lunet.tensor import Rng
@@ -31,6 +32,24 @@ def trained_model():
         train_epoch(model, x, y, TrainConfig(batch_size=8, seed=0), opt, epoch)
     model.set_mode("infer")
     return model, x
+
+
+def checkpoint_offsets(blob: bytes) -> dict:
+    """Byte offsets of a checkpoint's spec and meta blocks, its tensor count
+    and its first two tensor records."""
+    r = Reader("checkpoint", blob, CheckpointError, "checkpoint")
+    r.take(len(MAGIC) + 4)
+    out = {"spec": r.pos}
+    r.block()
+    out["meta"] = r.pos
+    r.block()
+    r.strings(), r.strings()
+    out["count"] = r.pos
+    r.unpack("<I")
+    out["tensor0"] = r.pos
+    r.tensor()
+    out["tensor1"] = r.pos
+    return out
 
 
 def save_default(path, model):
@@ -144,6 +163,40 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"{path} byte 11: unbuildable model spec" in err
         assert "unknown spec key 'pool_size'" in err
+
+    @pytest.mark.parametrize("block,extra,message", [
+        # the meta block of a "multi" file gains class_names=x|y and a second
+        # task=binary line; kept last-wins, it once loaded as "binary"
+        ("meta", b"class_names=x|y\ntask=binary\n", "repeated key 'task'"),
+        ("meta", b"class_names=x|y\n", "metadata keys ['task', 'class_names'], "
+                                        "expected ['task']"),
+        ("spec", b"levels=4\n", "repeated key 'levels'"),
+    ], ids=["meta-repeated-task", "meta-unknown-key", "spec-repeated-levels"])
+    def test_block_with_a_repeated_or_unknown_key_exits_3(self, tmp_path, capsys,
+                                                           block, extra, message):
+        blob = TRAINED_CHECKPOINT.read_bytes()
+        at = checkpoint_offsets(blob)[block]
+        (n,) = struct.unpack_from("<I", blob, at)
+        text = blob[at + 4:at + 4 + n] + extra
+        path = tmp_path / "keys.lunet"
+        path.write_bytes(blob[:at] + struct.pack("<I", len(text)) + text
+                         + blob[at + 4 + n:])
+        assert main(["evaluate", "--dataset", "synthetic", "--task", "binary",
+                     "--checkpoint", str(path), "--output-dir", str(tmp_path)]) == EXIT_DATA
+        assert f"{path} byte {at}: {message}\n" in capsys.readouterr().err
+
+    def test_repeated_tensor_exits_3(self, tmp_path, capsys):
+        blob = TRAINED_CHECKPOINT.read_bytes()
+        offsets = checkpoint_offsets(blob)
+        count_at, first, second = offsets["count"], offsets["tensor0"], offsets["tensor1"]
+        (count,) = struct.unpack_from("<I", blob, count_at)
+        path = tmp_path / "twice.lunet"
+        path.write_bytes(blob[:count_at] + struct.pack("<I", count + 1)
+                         + blob[first:second] + blob[first:])
+        assert main(["evaluate", "--dataset", "synthetic", "--task", "multi",
+                     "--checkpoint", str(path), "--output-dir", str(tmp_path)]) == EXIT_DATA
+        assert (f"{path} byte {second}: repeated tensor 'standardize.mean'\n"
+                in capsys.readouterr().err)
 
     def test_truncated_file(self, tmp_path, trained_model):
         model, _ = trained_model

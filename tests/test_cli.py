@@ -127,6 +127,21 @@ def test_crossval_output_is_the_same_with_a_cold_and_a_warm_table_cache(tmp_path
 
 
 class TestTrainEvaluate:
+    def test_train_is_fold_0_of_a_5_way_crossval(self, tmp_path, capsys):
+        argv = ["--dataset", "synthetic", "--levels", "4", "--epochs", "2", "--seed", "3",
+                "--batch-size", "16"]
+        fold0 = {}
+        for command, extra in (("train", []), ("crossval", ["--folds", str(cli.TRAIN_FOLDS)])):
+            out = tmp_path / command
+            assert run([command, *argv, *extra, "--output-dir", str(out)]) == EXIT_OK
+            records = [json.loads(line) for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("{")]
+            fold0[command] = ([r for r in records if r.get("fold") == 0 and "epoch" in r],
+                              [r for r in records if r.get("record") == "fold"][0],
+                              (out / "confusion_fold0.csv").read_bytes())
+        assert len(fold0["train"][0]) == 2
+        assert fold0["train"] == fold0["crossval"]
+
     def test_checkpoint_written(self, trained):
         _, ckpt = trained
         assert os.path.getsize(ckpt) > 0

@@ -6,6 +6,7 @@ documented exit code."""
 
 import csv
 import struct
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -230,7 +231,20 @@ def test_nan_gradient_exits_4_naming_the_tensor(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(LuNetModel, "backward", nan_backward)
     assert main(["train", "--dataset", "synthetic", "--levels", "4", "--epochs", "1",
                  "--output-dir", str(tmp_path)]) == EXIT_NUMERIC
-    assert "non-finite parameter head.dense.W" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "numeric failure: fold 0: epoch 1, batch 1: "
+        "non-finite parameter head.dense.W after an RMSprop step\n")
+
+
+def test_huge_learning_rate_exits_4_naming_the_fold_epoch_and_batch(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--dataset", "synthetic", "--levels", "4", "--epochs", "3",
+                     "--lr", "1e300", "--output-dir", str(tmp_path)])
+    assert code == EXIT_NUMERIC
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        "numeric failure: fold 0: epoch 1, batch 2: non-finite training loss\n")
 
 
 @pytest.mark.parametrize("command,flag,path,message", [

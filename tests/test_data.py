@@ -367,6 +367,15 @@ def _nan_duration(good):
     return good[:at] + struct.pack("<d", float("nan")) + good[at + 8:]
 
 
+def _repeated_key(good):
+    """The sidecar with its key block's `version` line given twice (the
+    block's u32 length rewritten): the same key, were the last value kept."""
+    at = len(data.CACHE_MAGIC)
+    (n,) = struct.unpack_from("<I", good, at)
+    block = good[at + 4:at + 4 + n] + f"version={data.CACHE_VERSION}\n".encode()
+    return good[:at] + struct.pack("<I", len(block)) + block + good[at + 4 + n:]
+
+
 # each turns a good sidecar into one that must be parsed again and rewritten
 DAMAGED = {
     "truncated": lambda good: good[:len(good) // 2],
@@ -375,6 +384,7 @@ DAMAGED = {
     "wrong-version": lambda good: good.replace(b"version=1\n", b"version=7\n", 1),
     "trailing-byte": lambda good: good + b"\0",
     "nan-cell": _nan_duration,
+    "repeated-key": _repeated_key,
 }
 
 

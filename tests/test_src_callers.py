@@ -103,3 +103,26 @@ def test_no_module_reads_another_modules_private_names():
     reads = sorted(f"{path.name}: {name}" for path in SRC.glob("*.py")
                    for name in private_reads(ast.parse(path.read_text(encoding="utf-8"))))
     assert not reads, f"private names read across src/lunet modules: {reads}"
+
+
+def output_uses(tree: ast.Module):
+    """Every use of `print` and every read of `sys.stdout` or `sys.stderr`
+    (also as `from sys import stdout`) in `tree`, with its line."""
+    streams = {"stdout", "stderr", "__stdout__", "__stderr__"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "print":
+            yield f"line {node.lineno}: print"
+        elif (isinstance(node, ast.Attribute) and node.attr in streams
+              and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            yield f"line {node.lineno}: sys.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            yield from (f"line {node.lineno}: sys.{a.name}" for a in node.names
+                        if a.name in streams)
+
+
+def test_only_the_cli_prints():
+    # the other modules raise or return what they find; `cli` renders it
+    uses = sorted(f"{path.name} {use}" for path in SRC.glob("*.py") if path.name != "cli.py"
+                  for use in output_uses(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not uses, f"output outside src/lunet/cli.py: {uses}"
+    assert list(output_uses(ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))))
