@@ -2,9 +2,9 @@
 LSTM, dropout, global average pooling and dense.
 
 Every layer exposes `backward(upstream)`, which returns the gradient w.r.t.
-the layer input and accumulates parameter gradients into `self.grads` (same
-keys and shapes as `self.params`; each accumulator is made, zeroed, at its
-first read, so a layer that never runs backward holds none). A train-mode
+the layer input and writes each parameter's gradient whole into `self.grads`
+(same keys and shapes as `self.params`), where it stays until the RMSprop
+step takes it; a layer that never runs backward holds none. A train-mode
 forward keeps in `_cache` what backward needs; no layer builds backward
 state in infer mode, so there `_cache` is None and `backward` raises
 RuntimeError. In both modes `ReLU` and `BatchNorm` write their output into
@@ -24,7 +24,7 @@ itself off the CPU of the thread that hands work over) in one of two ways:
   exception. Train-mode `Conv1D` and `LSTM` forwards, an infer-mode
   `LuNetModel.forward` and the table passes of `data` hand work over so.
 - `Layer._defer(fn)` queues a weight-gradient product of a backward, which
-  adds into the layer's gradient buffers only. It reads the layer's forward
+  writes the layer's gradients only. It reads the layer's forward
   input and `upstream` (and the LSTM's forward output), so a caller must not
   write into any of these until it has read `grads`, which waits for every
   product the layer queued, never runs one itself, and raises the first
@@ -172,35 +172,21 @@ def beside(fn):
             future.result()
 
 
-class _Grads(dict):
-    """Gradient accumulators by parameter name: reading one that is not there
-    yet makes it, zeroed, in its parameter's shape."""
-
-    def __init__(self, params: dict[str, np.ndarray]):
-        super().__init__()
-        self.params = params
-
-    def __missing__(self, pname: str) -> np.ndarray:
-        g = self[pname] = np.zeros(self.params[pname].shape)
-        return g
-
-
 class Layer:
-    """Base: named parameter map plus a same-shaped gradient accumulator map
-    whose accumulators appear, zeroed, at their first read."""
+    """Base: named parameter map plus, by the same names, the gradients its
+    last backward wrote, held until the RMSprop step takes them."""
 
     def __init__(self, name: str = ""):
         self.name = name or self.__class__.__name__.lower()
         self.params: dict[str, np.ndarray] = {}
-        self._grads = _Grads(self.params)
+        self._grads: dict[str, np.ndarray] = {}
         self._jobs: list = []  # futures of the products `_defer` queued
         self._cache = None
 
     @property
     def grads(self) -> dict[str, np.ndarray]:
-        """The gradient accumulators, once every job this layer queued is
-        done; the first exception such a job raised is raised here. An
-        accumulator nothing has read yet is made, zeroed, when read."""
+        """The gradients, once every job this layer queued is done; the first
+        exception such a job raised is raised here."""
         jobs, self._jobs = self._jobs, []
         for error in [f.exception() for f in jobs]:
             if error is not None:
@@ -208,7 +194,7 @@ class Layer:
         return self._grads
 
     def _defer(self, fn):
-        """Run `fn`, which adds into `self._grads`, on the worker, or here
+        """Run `fn`, which writes into `self._grads`, on the worker, or here
         where the worker cannot pay; `grads` waits for it."""
         if QUEUE_PRODUCTS:
             self._jobs.append(_start(fn))
@@ -219,11 +205,6 @@ class Layer:
         if pname in self.params:
             raise ValueError(f"duplicate parameter name {pname!r} in {self.name}")
         self.params[pname] = value
-
-    def zero_grads(self):
-        """Zero the accumulators made so far; the others read as zeros."""
-        for g in self.grads.values():
-            g[...] = 0.0
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Non-trainable tensors that belong in a checkpoint (e.g. BN stats)."""
@@ -302,10 +283,11 @@ class Conv1D(Layer):
 
         def weight_grads():
             u2 = upstream.reshape(-1, self.c_out)
-            df = self._grads["filters"]
+            df = np.empty_like(self.params["filters"])
             for j in range(self.m):
-                df[:, :, j] += u2.T @ x[:, j:j + l_out, :].reshape(-1, self.c_in)
-            self._grads["bias"] += upstream.sum(axis=(0, 1))
+                df[:, :, j] = u2.T @ x[:, j:j + l_out, :].reshape(-1, self.c_in)
+            self._grads["filters"] = df
+            self._grads["bias"] = upstream.sum(axis=(0, 1))
 
         self._defer(weight_grads)
         dx = np.zeros_like(x)
@@ -439,8 +421,8 @@ class BatchNorm(Layer):
         xhat, inv_std, n, axes = self._require_cache()
         if upstream.shape != xhat.shape:
             raise ValueError(f"{self.name}: upstream shape {upstream.shape} mismatch")
-        self.grads["gamma"] += (upstream * xhat).sum(axis=axes)
-        self.grads["beta"] += upstream.sum(axis=axes)
+        self._grads["gamma"] = (upstream * xhat).sum(axis=axes)
+        self._grads["beta"] = upstream.sum(axis=axes)
         dxhat = upstream * self.params["gamma"]
         return (inv_std / n) * (n * dxhat - dxhat.sum(axis=axes)
                                 - xhat * (dxhat * xhat).sum(axis=axes))
@@ -569,9 +551,9 @@ class LSTM(Layer):
             g = self._grads
             h_prev = np.zeros_like(out)  # batch-major h(t-1); h(-1) is zero
             h_prev[:, 1:] = out[:, :-1]
-            g["U"] += x.reshape(-1, self.in_dim).T @ da
-            g["W"] += h_prev.reshape(-1, c).T @ da
-            g["b"] += da.sum(axis=0)
+            g["U"] = x.reshape(-1, self.in_dim).T @ da
+            g["W"] = h_prev.reshape(-1, c).T @ da
+            g["b"] = da.sum(axis=0)
 
         self._defer(weight_grads)
         return (da @ p["U"].T).reshape(x.shape)
@@ -645,6 +627,6 @@ class Dense(Layer):
         x = self._require_cache()
         if upstream.shape != (x.shape[0], self.out_dim):
             raise ValueError(f"{self.name}: upstream shape {upstream.shape} mismatch")
-        self.grads["W"] += x.T @ upstream
-        self.grads["b"] += upstream.sum(axis=0)
+        self._grads["W"] = x.T @ upstream
+        self._grads["b"] = upstream.sum(axis=0)
         return upstream @ self.params["W"].T

@@ -212,10 +212,6 @@ class LuNetModel:
             for sname, value in layer.state_tensors().items():
                 yield f"{layer.name}.{sname}", value
 
-    def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grads()
-
 
 def _levels(spec: LuNetSpec):
     """Yield (tag, input channels, width) of each level by walking the input

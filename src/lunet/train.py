@@ -69,10 +69,11 @@ def cross_entropy_delta(probs: np.ndarray, labels_onehot: np.ndarray) -> np.ndar
 
 
 class RmsProp:
-    """acc <- RHO*acc + (1-RHO)*g^2; w <- w - lr*g/(sqrt(acc)+EPSILON); grads zeroed.
+    """acc <- RHO*acc + (1-RHO)*g^2; w <- w - lr*g/(sqrt(acc)+EPSILON).
 
-    A step that leaves a parameter with a non-finite entry raises
-    FloatingPointError naming the tensor."""
+    A step takes each gradient out of its layer's `grads`, so afterwards no
+    layer holds one. A step that leaves a parameter with a non-finite entry
+    raises FloatingPointError naming the tensor."""
 
     def __init__(self, config: RmsPropConfig | None = None):
         self.config = config or RmsPropConfig()
@@ -81,7 +82,7 @@ class RmsProp:
     def step(self, model: LuNetModel):
         lr = self.config.learning_rate
         for name, layer, pname, value in model.named_params():
-            g = layer.grads[pname]
+            g = layer.grads.pop(pname)
             acc = self._acc.get(name)
             if acc is None:
                 acc = self._acc[name] = np.zeros_like(value)
@@ -96,7 +97,6 @@ class RmsProp:
             g *= lr
             np.divide(g, upd, out=upd)
             value -= upd
-            g[...] = 0.0
             if not np.isfinite(value).all():
                 raise FloatingPointError(f"non-finite parameter {name} after an RMSprop step")
 
@@ -217,7 +217,6 @@ def model_gradient_check(model: LuNetModel, x: np.ndarray, labels: np.ndarray,
     def loss_fn():
         return cross_entropy_loss(forward(), y)
 
-    model.zero_grads()
     model.backward(cross_entropy_delta(forward(), y))
     entries = {name: (value, layer.grads[pname])
                for name, layer, pname, value in model.named_params()}
@@ -244,7 +243,6 @@ def standard_gradient_suite() -> dict[str, float]:
             return float((out * w_holder["w"]).sum())
 
         loss_fn()  # leaves the forward state that backward reads
-        layer.zero_grads()
         dx = layer.backward(w_holder["w"])
         entries = {f"{tag}.{p}": (layer.params[p], layer.grads[p]) for p in layer.params}
         entries[f"{tag}.input"] = (x, dx)

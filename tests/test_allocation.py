@@ -1,8 +1,8 @@
 """What a model holds: a built model holds its parameters and batch-norm
-statistics, a layer makes each gradient accumulator, zeroed, at its first
-read, and `load_checkpoint` checks the stored tensor shapes against the
-spec, then builds the layers around the stored tensors without drawing a
-weight."""
+statistics, a layer holds the gradients of its last backward until the
+RMSprop step takes them, and `load_checkpoint` checks the stored tensor
+shapes against the spec, then builds the layers around the stored tensors
+without drawing a weight."""
 
 import dataclasses
 import io
@@ -17,9 +17,11 @@ from blas_subprocess import run_python
 from lunet import LuNetSpec, build
 from lunet.binio import Reader, write_tensor
 from lunet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from lunet.layers import Conv1D, Dense
+from lunet import layers
+from lunet.layers import LSTM, BatchNorm, Conv1D, Dense
 from lunet.model import tensor_shapes
 from lunet.tensor import Rng
+from lunet.train import RmsProp, cross_entropy_delta, one_hot
 
 PAPER = LuNetSpec(input_features=122, num_classes=2)
 SLACK = 64 << 10  # layer objects, names and dicts
@@ -94,26 +96,70 @@ class TestReaderTensor:
         assert peak <= 1.2 * value.nbytes, f"{peak / value.nbytes:.2f}x"
 
 
-class TestGradients:
-    def test_read_as_zeros_before_the_first_backward(self):
-        layers = [Conv1D(3, 4, 3, Rng(1)), Dense(4, 2, Rng(2))]
-        for layer in layers:
-            assert dict(layer.grads) == {}  # none made yet
-            for pname, value in layer.params.items():
-                g = layer.grads[pname]
-                assert g.shape == value.shape and not g.any()
-                assert layer.grads[pname] is g  # made once
-            assert layer.grads.keys() == layer.params.keys()
+# each parameterized layer type, made alike on every call, with a train input
+LAYERS = {
+    "conv": (lambda: Conv1D(3, 4, 3, Rng(1)), (5, 8, 3)),
+    "batchnorm": (lambda: BatchNorm(4), (6, 5, 4)),
+    "lstm": (lambda: LSTM(3, 4, Rng(3)), (2, 5, 3)),
+    "dense": (lambda: Dense(4, 3, Rng(4)), (5, 4)),
+}
 
+
+@pytest.fixture(params=[False, True], ids=["inline", "queued"])
+def queue_products(request, monkeypatch):
+    monkeypatch.setattr(layers, "QUEUE_PRODUCTS", request.param)
+
+
+def forward_backward(layer, shape, seed):
+    """A train-mode forward of seeded rows, then a backward of a seeded
+    upstream; each array stays unwritten until `grads` is read."""
+    out = layer.forward(Rng(seed).normal(shape))
+    layer.backward(Rng(seed + 1).normal(out.shape))
+
+
+@pytest.mark.usefixtures("queue_products")
+@pytest.mark.parametrize("kind", LAYERS)
+class TestGradientLifecycle:
+    def test_none_before_any_backward(self, kind):
+        make, shape = LAYERS[kind]
+        layer = make()
+        assert layer.grads == {}
+        layer.forward(Rng(1).normal(shape))
+        assert layer.grads == {}
+
+    def test_a_backward_writes_one_per_parameter(self, kind):
+        make, shape = LAYERS[kind]
+        layer = make()
+        forward_backward(layer, shape, 1)
+        assert layer.grads.keys() == layer.params.keys()
+        for pname, value in layer.params.items():
+            assert layer.grads[pname].shape == value.shape
+
+    def test_a_second_backward_gives_the_gradients_of_a_lone_one(self, kind):
+        make, shape = LAYERS[kind]
+        twice, once = make(), make()
+        forward_backward(twice, shape, 1)
+        forward_backward(twice, shape, 3)
+        forward_backward(once, shape, 3)
+        for pname in once.params:
+            assert twice.grads[pname].tobytes() == once.grads[pname].tobytes(), pname
+
+
+@pytest.mark.usefixtures("queue_products")
+def test_an_rmsprop_step_takes_every_gradient():
+    model = build(LuNetSpec(input_features=16, num_classes=2, levels=(4,),
+                            final_conv_filters=4))
+    probs = model.forward(Rng(3).normal((4, 16)))
+    model.backward(cross_entropy_delta(probs, one_hot(np.array([0, 1, 1, 0]), 2)))
+    assert any(layer.grads for layer in model.layers)
+    RmsProp().step(model)
+    assert all(layer.grads == {} for layer in model.layers)
+
+
+class TestGradients:
     def test_unknown_name_raises_key_error(self):
         with pytest.raises(KeyError):
             Dense(4, 2, Rng(2)).grads["V"]
-
-    def test_zero_grads_zeroes_what_was_made(self):
-        layer = Dense(4, 2, Rng(2))
-        layer.grads["W"] += 1.0
-        layer.zero_grads()
-        assert not layer.grads["W"].any() and not layer.grads["b"].any()
 
     def test_backward_makes_them_and_a_model_that_infers_holds_none(self):
         model = build(LuNetSpec(input_features=16, num_classes=2, levels=(4,)))

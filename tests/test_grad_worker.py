@@ -140,6 +140,7 @@ class TestWorker:
         monkeypatch.setattr(layers, "QUEUE_PRODUCTS", True)
         layer = Layer("probe")
         layer.add_param("w", np.zeros(3))
+        layer._grads["w"] = np.zeros(3)
 
         def fail():
             raise ArithmeticError("queued job failed")
@@ -276,6 +277,7 @@ class TestWorker:
         probes = [Layer(f"probe{i}") for i in range(2 * (os.cpu_count() or 1) + 2)]
         for layer in probes:
             layer.add_param("w", np.zeros(64))
+            layer._grads["w"] = np.zeros(64)
 
         seen = []
 
