@@ -186,18 +186,22 @@ class LuNetModel:
                 finite = np.isfinite(probs).all(axis=1)
                 if not finite.all():
                     i = int(np.argmin(finite))
-                    raise NonFiniteProbabilities(i, len(x), self._first_nonfinite_layer(x, i))
+                    raise NonFiniteProbabilities(
+                        i, len(x), self.first_nonfinite_layer(x[i:i + 1]))
         finally:
             self.mode = prev
         return np.argmax(probs, axis=1)
 
-    def _first_nonfinite_layer(self, x: np.ndarray, i: int) -> str:
-        """The name of the first layer whose infer-mode output for row `i` of
-        `x` is not finite, found by running that row alone again layer by
-        layer, or "softmax" if none is."""
-        out = x[i:i + 1, :, None]
+    def first_nonfinite_layer(self, x: np.ndarray) -> str:
+        """The name of the first layer whose output for the rows `x` is not
+        finite, found by running them through the layers one by one in the
+        model's mode, or "softmax" if none is. In train mode that is one more
+        train forward: each batch norm's running statistics take one more
+        update, each dropout draws a mask and each layer's backward cache is
+        rewritten."""
+        out = x[:, :, None]
         for layer in self.layers:
-            out = layer.forward(out, mode="infer")
+            out = layer.forward(out, mode=self.mode)
             if not np.isfinite(out).all():
                 return layer.name
         return "softmax"

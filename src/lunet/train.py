@@ -113,7 +113,15 @@ def iter_batches(n: int, tc: TrainConfig, epoch: int):
 
 def train_epoch(model: LuNetModel, features: np.ndarray, labels: np.ndarray,
                 tc: TrainConfig, optimizer: RmsProp, epoch: int = 0):
-    """One pass of mini-batch RMSprop; returns (mean loss, train accuracy)."""
+    """One pass of mini-batch RMSprop; returns (mean loss, train accuracy).
+
+    A batch whose loss is not finite raises FloatingPointError naming the
+    epoch, the batch and the first layer whose output went non-finite there,
+    found by running the batch again layer by layer with dropout re-seeded
+    (`LuNetModel.first_nonfinite_layer`). Only a failing step pays for that
+    search, and it leaves its traces: each batch norm's running statistics
+    take one more update, each dropout `Rng` restarts from its seed and the
+    layer caches are rewritten."""
     n = features.shape[0]
     if tc.batch_size > n:
         raise ValueError(f"batch_size {tc.batch_size} exceeds dataset size {n}")
@@ -130,7 +138,10 @@ def train_epoch(model: LuNetModel, features: np.ndarray, labels: np.ndarray,
                 y = one_hot(yb, classes)
                 loss = cross_entropy_loss(probs, y)
                 if not np.isfinite(loss):
-                    raise FloatingPointError("non-finite training loss")
+                    _reseed_dropout(model.layers)
+                    raise FloatingPointError(
+                        f"non-finite training loss; {model.first_nonfinite_layer(xb)} is the "
+                        "first layer whose output went non-finite")
                 losses.append(loss)
                 correct += int(np.sum(np.argmax(probs, axis=1) == yb))
                 seen += len(batch)

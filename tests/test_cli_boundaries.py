@@ -244,7 +244,29 @@ def test_huge_learning_rate_exits_4_naming_the_fold_epoch_and_batch(tmp_path, ca
     assert code == EXIT_NUMERIC
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == (
-        "numeric failure: fold 0: epoch 1, batch 2: non-finite training loss\n")
+        "numeric failure: fold 0: epoch 1, batch 2: non-finite training loss; "
+        "head.dense is the first layer whose output went non-finite\n")
+
+
+def test_infinite_weight_exits_4_naming_the_layer(tmp_path, monkeypatch, capsys):
+    from lunet import model as model_mod
+
+    def inf_build(spec, init_rng=None):
+        model = build(spec, init_rng)
+        model.layers[-4].params["filters"][0, 0, 0] = np.inf  # head.conv
+        return model
+
+    monkeypatch.setattr(model_mod, "build", inf_build)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--dataset", "synthetic", "--levels", "4", "--epochs", "1",
+                     "--output-dir", str(tmp_path)])
+    assert code == EXIT_NUMERIC
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        "numeric failure: fold 0: epoch 1, batch 1: non-finite training loss; "
+        "head.conv is the first layer whose output went non-finite\n")
+    assert not (tmp_path / "model.lunet").exists()
 
 
 @pytest.mark.parametrize("command,flag,path,message", [
