@@ -11,8 +11,9 @@ The two name lists are binio string lists, so a name may hold any character.
 Each LSTM is stored as gate-stacked `levelK.lstm.U`, `.W` and `.b` with the
 gates as column blocks p|g|f|q. Only version 3 loads: a file of any other
 version, whose spec block holds a key other than the `LuNetSpec` fields or
-whose meta block a key other than `task`, or that repeats a block key or a
-tensor name, raises CheckpointError naming it.
+whose meta block a key other than `task`, that repeats a block key or a
+tensor name, or that holds a tensor the spec does not name, raises
+CheckpointError naming it.
 """
 
 from __future__ import annotations
@@ -86,13 +87,13 @@ def load_checkpoint(path):
     class_names, encoded_columns = r.strings(), r.strings()
     tensors_at = r.pos
     (count,) = r.unpack("<I")
-    tensors = {}
+    tensors, offsets = {}, {}
     for _ in range(count):
         at = r.pos
         name, value = r.tensor()
         if name in tensors:
             raise r.error(f"repeated tensor {name!r}", at)
-        tensors[name] = value
+        tensors[name], offsets[name] = value, at
     if r.pos != len(r.blob):
         raise r.error(f"{len(r.blob) - r.pos} trailing bytes after the last tensor")
     r.blob = b""  # every tensor is a copy: the file's bytes need not outlive the build
@@ -120,6 +121,9 @@ def load_checkpoint(path):
                           f"expected {shape}", tensors_at)
         return tensors[name]
 
+    for name, at in offsets.items():
+        if name not in shapes and name not in ("standardize.mean", "standardize.std"):
+            raise r.error(f"unknown tensor {name!r}", at)
     mean = stored("standardize.mean", (spec.input_features,))
     std = stored("standardize.std", (spec.input_features,))
     values = {name: stored(name, shape) for name, shape in shapes.items()}

@@ -1,3 +1,4 @@
+import io
 import struct
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lunet import LuNetSpec, build
-from lunet.binio import Reader
+from lunet.binio import Reader, write_tensor
 from lunet.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from lunet.cli import EXIT_DATA, main
 from lunet.tensor import Rng
@@ -196,6 +197,20 @@ class TestErrors:
         assert main(["evaluate", "--dataset", "synthetic", "--task", "multi",
                      "--checkpoint", str(path), "--output-dir", str(tmp_path)]) == EXIT_DATA
         assert (f"{path} byte {second}: repeated tensor 'standardize.mean'\n"
+                in capsys.readouterr().err)
+
+    def test_tensor_the_spec_does_not_name_exits_3(self, tmp_path, capsys):
+        blob = TRAINED_CHECKPOINT.read_bytes()
+        count_at = checkpoint_offsets(blob)["count"]
+        (count,) = struct.unpack_from("<I", blob, count_at)
+        extra = io.BytesIO()
+        write_tensor(extra, "level9.conv.filters", np.zeros((2, 2)))
+        path = tmp_path / "extra.lunet"
+        path.write_bytes(blob[:count_at] + struct.pack("<I", count + 1)
+                         + blob[count_at + 4:] + extra.getvalue())
+        assert main(["evaluate", "--dataset", "synthetic", "--task", "multi",
+                     "--checkpoint", str(path), "--output-dir", str(tmp_path)]) == EXIT_DATA
+        assert (f"{path} byte {len(blob)}: unknown tensor 'level9.conv.filters'\n"
                 in capsys.readouterr().err)
 
     def test_truncated_file(self, tmp_path, trained_model):
