@@ -116,12 +116,10 @@ def train_epoch(model: LuNetModel, features: np.ndarray, labels: np.ndarray,
     """One pass of mini-batch RMSprop; returns (mean loss, train accuracy).
 
     A batch whose loss is not finite raises FloatingPointError naming the
-    epoch, the batch and the first layer whose output went non-finite there,
-    found by running the batch again layer by layer with dropout re-seeded
-    (`LuNetModel.first_nonfinite_layer`). Only a failing step pays for that
-    search, and it leaves its traces: each batch norm's running statistics
-    take one more update, each dropout `Rng` restarts from its seed and the
-    layer caches are rewritten."""
+    epoch, the batch and the first layer whose output went non-finite there:
+    each dropout `Rng` restarts from its seed, then
+    `LuNetModel.first_nonfinite_layer` runs the batch again. Only a failing
+    step pays for that search."""
     n = features.shape[0]
     if tc.batch_size > n:
         raise ValueError(f"batch_size {tc.batch_size} exceeds dataset size {n}")
