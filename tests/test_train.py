@@ -39,12 +39,17 @@ def tiny_model(seed=1):
                            final_conv_filters=4, init_seed=seed))
 
 
+def zero_gradients(model):
+    """Give every parameter a zero gradient, as a backward gives each its own."""
+    for _, layer, pname, value in model.named_params():
+        layer.grads[pname] = np.zeros_like(value)
+
+
 class TestRmsProp:
     def test_zero_gradient_leaves_params_unchanged(self):
         model = tiny_model()
         before = {n: v.copy() for n, _, _, v in model.named_params()}
-        for _, layer, pname, value in model.named_params():
-            layer.grads[pname] = np.zeros_like(value)
+        zero_gradients(model)
         RmsProp().step(model)
         for n, _, _, v in model.named_params():
             np.testing.assert_array_equal(v, before[n])
@@ -52,8 +57,7 @@ class TestRmsProp:
     def test_first_step_magnitude(self):
         model = tiny_model()
         layer = model.layers[-1]  # head.dense
-        for _, owner, pname, value in model.named_params():
-            owner.grads[pname] = np.zeros_like(value)
+        zero_gradients(model)
         layer.grads["b"][...] = 1.0
         before = layer.params["b"].copy()
         RmsProp(RmsPropConfig(learning_rate=0.001)).step(model)
@@ -84,8 +88,7 @@ class TestRmsProp:
 
     def test_nan_gradient_names_the_tensor(self):
         model = tiny_model()
-        for _, layer, pname, value in model.named_params():
-            layer.grads[pname] = np.zeros_like(value)
+        zero_gradients(model)
         model.layers[0].grads["filters"][0, 0, 1] = np.nan
         with pytest.raises(FloatingPointError, match="level0.conv.filters"):
             RmsProp().step(model)
