@@ -62,11 +62,11 @@ def save_checkpoint(path, model: LuNetModel, mean: np.ndarray, std: np.ndarray,
 def load_checkpoint(path):
     """Returns (model, mean, std, class_names, encoded_columns, task).
 
-    Every stored tensor's shape is checked against the shapes the spec
-    implies before any layer is built; the layers are then built around the
-    stored tensors, drawing no weight. The rebuilt model reproduces
-    infer-mode outputs of the saved one bitwise. Any unreadable, truncated
-    or inconsistent file raises CheckpointError.
+    Each tensor's name and shape are checked, as it is read, against the
+    shapes the spec implies, so a fault names that tensor's byte; the layers
+    are then built around the stored tensors, drawing no weight. The rebuilt
+    model reproduces infer-mode outputs of the saved one bitwise. Any
+    unreadable, truncated or inconsistent file raises CheckpointError.
     """
     try:
         with open(path, "rb") as fh:
@@ -81,56 +81,51 @@ def load_checkpoint(path):
         raise r.error(f"unsupported checkpoint version {version}", len(MAGIC))
     spec_at = r.pos
     spec_map = r.block()
-    meta_at = r.pos
-    meta = r.block()
-    names_at = r.pos
-    class_names, encoded_columns = r.strings(), r.strings()
-    tensors_at = r.pos
-    (count,) = r.unpack("<I")
-    tensors, offsets = {}, {}
-    for _ in range(count):
-        at = r.pos
-        name, value = r.tensor()
-        if name in tensors:
-            raise r.error(f"repeated tensor {name!r}", at)
-        tensors[name], offsets[name] = value, at
-    if r.pos != len(r.blob):
-        raise r.error(f"{len(r.blob) - r.pos} trailing bytes after the last tensor")
-    r.blob = b""  # every tensor is a copy: the file's bytes need not outlive the build
     try:
         spec = LuNetSpec.from_mapping(spec_map)
-        shapes = model_mod.tensor_shapes(spec)
+        shapes = {f"standardize.{k}": (spec.input_features,) for k in ("mean", "std")}
+        shapes.update(model_mod.tensor_shapes(spec))
     except (KeyError, ValueError) as e:
         raise r.error(f"unbuildable model spec: {type(e).__name__}: {e}", spec_at) from None
+    meta_at = r.pos
+    meta = r.block()
     if list(meta) != ["task"]:
         raise r.error(f"metadata keys {list(meta)}, expected ['task']", meta_at)
     task = meta["task"]
     if task not in ("binary", "multi"):
         raise r.error(f"unknown task {task!r}", meta_at)
+    names_at = r.pos
+    class_names, encoded_columns = r.strings(), r.strings()
     if len(class_names) != spec.num_classes:
         raise r.error(f"{len(class_names)} class names for {spec.num_classes} classes", names_at)
     if len(encoded_columns) != spec.input_features:
         raise r.error(f"{len(encoded_columns)} encoded column names for "
                       f"{spec.input_features} input features", names_at)
-
-    def stored(name: str, shape: tuple) -> np.ndarray:
-        if name not in tensors:
-            raise r.error(f"missing tensor {name!r}", tensors_at)
-        if tensors[name].shape != shape:
-            raise r.error(f"tensor {name!r} has shape {tensors[name].shape}, "
-                          f"expected {shape}", tensors_at)
-        return tensors[name]
-
-    for name, at in offsets.items():
-        if name not in shapes and name not in ("standardize.mean", "standardize.std"):
+    tensors_at = r.pos
+    (count,) = r.unpack("<I")
+    tensors = {}
+    for _ in range(count):
+        at = r.pos
+        name, value = r.tensor()
+        if name in tensors:
+            raise r.error(f"repeated tensor {name!r}", at)
+        if name not in shapes:
             raise r.error(f"unknown tensor {name!r}", at)
-    mean = stored("standardize.mean", (spec.input_features,))
-    std = stored("standardize.std", (spec.input_features,))
-    values = {name: stored(name, shape) for name, shape in shapes.items()}
+        if value.shape != shapes[name]:
+            raise r.error(f"tensor {name!r} has shape {value.shape}, "
+                          f"expected {shapes[name]}", at)
+        tensors[name] = value
+    if r.pos != len(r.blob):
+        raise r.error(f"{len(r.blob) - r.pos} trailing bytes after the last tensor")
+    r.blob = b""  # every tensor is a copy: the file's bytes need not outlive the build
+    missing = [name for name in shapes if name not in tensors]
+    if missing:
+        raise r.error(f"missing tensor {missing[0]!r}", tensors_at)
     model = model_mod.build(spec, init_rng=_Undrawn())
     for name, layer, pname, _ in model.named_params():
-        layer.params[pname] = values[name]
+        layer.params[pname] = tensors[name]
     for name, value in model.named_state():
-        value[...] = values[name]
+        value[...] = tensors[name]
     model.set_mode("infer")
-    return model, mean, std, class_names, encoded_columns, task
+    return (model, tensors["standardize.mean"], tensors["standardize.std"], class_names,
+            encoded_columns, task)

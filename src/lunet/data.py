@@ -7,12 +7,13 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import math
 import os
 import struct
 import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, islice
+from itertools import islice
 
 import numpy as np
 
@@ -220,25 +221,28 @@ def _blocks(rows):
 def _first_fault(p, rows, rows_before, schema) -> DataError:
     """The error of the first faulty row of `rows`, which follow `rows_before`
     data rows of file `p`: a wrong cell count, else the first numeric cell in
-    schema order that does not parse."""
+    schema order that does not parse or is not finite."""
     expected = len(schema.columns)
     for row_no, cells in enumerate(rows, rows_before + 1):
         if len(cells) != expected:
             return DataError(
                 f"{p} row {row_no}: expected {expected} columns, found {len(cells)}")
         for (name, kind), cell in zip(schema.columns, cells):
-            if kind == NUMERIC:
-                try:
-                    float(cell)
-                except ValueError:
-                    return DataError(f"{p} row {row_no}, column {name!r}: "
-                                     f"unparseable numeric cell {cell!r}")
+            if kind != NUMERIC:
+                continue
+            where = f"{p} row {row_no}, column {name!r}"
+            try:
+                value = float(cell)
+            except ValueError:
+                return DataError(f"{where}: unparseable numeric cell {cell!r}")
+            if not math.isfinite(value):
+                return DataError(f"{where}: non-finite numeric cell {value!r}")
     raise AssertionError("no faulty row in the block")
 
 
 def _parse_file(p, blob: bytes, schema: DatasetSchema) -> RawTable:
     """The rows of file `p`, whose bytes are `blob`, parsed `CSV_BLOCK` at a
-    time, column by column; numeric cells are not yet checked for finiteness."""
+    time, column by column; a block with a fault is searched row by row."""
     expected = len(schema.columns)
     feature_names = {n for n, _ in schema.feature_columns}
     # numeric columns collect one array per block, categorical ones strings
@@ -255,7 +259,10 @@ def _parse_file(p, blob: bytes, schema: DatasetSchema) -> RawTable:
             try:
                 for (name, kind), cells in zip(schema.columns, zip(*block)):
                     if kind == NUMERIC:
-                        columns[name].append(np.fromiter(map(float, cells), np.float64, n))
+                        col = np.fromiter(map(float, cells), np.float64, n)
+                        if not np.isfinite(col).all():
+                            raise ValueError  # searched as an unparseable cell is
+                        columns[name].append(col)
                     elif kind == CATEGORICAL:
                         # interned, so `_coded`'s dict lookups match on identity
                         columns[name].extend(map(sys.intern, map(str.strip, cells)))
@@ -358,7 +365,7 @@ def _load_file(p, schema: DatasetSchema) -> RawTable:
     """File `p` parsed against the schema, from its sidecar when that holds
     the parse of these very bytes. Only the bytes read here are hashed and
     parsed, so a file edited meanwhile cannot pair one content's key with
-    another's table; a parse with a non-finite cell is not cached."""
+    another's table; a parse that raises (a non-finite cell too) is not cached."""
     try:
         with open(p, "rb") as fh:
             blob = fh.read()
@@ -369,9 +376,7 @@ def _load_file(p, schema: DatasetSchema) -> RawTable:
     raw = _read_cache(side, key, schema)
     if raw is None:
         raw = _parse_file(p, blob, schema)
-        if all(np.isfinite(raw.columns[n]).all()
-               for n, k in schema.feature_columns if k == NUMERIC):
-            _write_cache(side, key, raw)
+        _write_cache(side, key, raw)
     return raw
 
 
@@ -384,27 +389,15 @@ def load_csv(path, schema: DatasetSchema, paths_extra=()) -> RawTable:
     limit. Errors name the file, the row (data rows are counted from 1 in
     each file) and the column, or the file line of a byte that is not UTF-8.
     Rows are parsed `CSV_BLOCK` at a time, column by column, and a block
-    with a fault is searched row by row, so the earliest row's error is
-    raised. A file read before comes from its sidecar `<file>.lunetcache`
-    (see `_load_file`). Vocabularies are the union of the files', sorted.
+    with a fault is searched row by row, so the earliest faulty cell in file
+    order is raised, non-finite or unparseable. A file read before comes
+    from its sidecar `<file>.lunetcache` (see `_load_file`). Vocabularies
+    are the union of the files', sorted.
     """
-    paths = (path, *paths_extra)
-    parts = [_load_file(p, schema) for p in paths]
-    # (file, index of its first row in the merged table)
-    starts = list(zip(paths, accumulate((t.n_rows for t in parts), initial=0)))
-    columns = {}
-    for name, kind in schema.feature_columns:
-        cols = [t.columns[name] for t in parts]
-        if kind != NUMERIC:
-            columns[name] = _merged(cols)
-            continue
-        columns[name] = col = np.concatenate(cols)
-        finite = np.isfinite(col)
-        if not finite.all():
-            i = int(np.argmin(finite))  # the first non-finite row
-            p, start = next((p, start) for p, start in reversed(starts) if start <= i)
-            raise DataError(f"{p} row {i - start + 1}, column {name!r}: "
-                            f"non-finite numeric cell {float(col[i])!r}")
+    parts = [_load_file(p, schema) for p in (path, *paths_extra)]
+    columns = {name: (np.concatenate if kind == NUMERIC else _merged)(
+                   [t.columns[name] for t in parts])
+               for name, kind in schema.feature_columns}
     return RawTable(schema=schema, columns=columns, labels=_merged([t.labels for t in parts]))
 
 

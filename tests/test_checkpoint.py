@@ -53,6 +53,19 @@ def checkpoint_offsets(blob: bytes) -> dict:
     return out
 
 
+def tensor_records(blob: bytes) -> dict:
+    """Each tensor's name -> (start, end) byte offsets of its record."""
+    r = Reader("checkpoint", blob, CheckpointError, "checkpoint")
+    r.skip(checkpoint_offsets(blob)["count"])
+    (count,) = r.unpack("<I")
+    records = {}
+    for _ in range(count):
+        at = r.pos
+        name, _ = r.tensor()
+        records[name] = (at, r.pos)
+    return records
+
+
 def save_default(path, model):
     mean, std = np.zeros(16), np.ones(16)
     save_checkpoint(path, model, mean, std, ["a", "b", "c"],
@@ -164,6 +177,30 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"{path} byte 11: unbuildable model spec" in err
         assert "unknown spec key 'pool_size'" in err
+
+    def test_spec_fault_outranks_a_truncated_last_tensor(self, tmp_path):
+        blob = TRAINED_CHECKPOINT.read_bytes()
+        at = len(MAGIC) + 4
+        (n,) = struct.unpack_from("<I", blob, at)
+        spec = blob[at + 4:at + 4 + n] + b"pool_size=2\n"
+        path = tmp_path / "pool.lunet"
+        path.write_bytes(blob[:at] + struct.pack("<I", len(spec)) + spec
+                         + blob[at + 4 + n:-1])
+        with pytest.raises(CheckpointError, match=f"^{path} byte 11: unbuildable model "
+                                                  "spec: ValueError: unknown spec key"):
+            load_checkpoint(path)
+
+    def test_wrong_shaped_tensor_names_its_own_record(self, tmp_path):
+        blob = TRAINED_CHECKPOINT.read_bytes()
+        start, end = tensor_records(blob)["level0.conv.bias"]
+        wrong = io.BytesIO()
+        write_tensor(wrong, "level0.conv.bias", np.zeros(5))
+        path = tmp_path / "bias.lunet"
+        path.write_bytes(blob[:start] + wrong.getvalue() + blob[end:])
+        with pytest.raises(CheckpointError) as e:
+            load_checkpoint(path)
+        assert str(e.value) == (f"{path} byte {start}: tensor 'level0.conv.bias' has "
+                                "shape (5,), expected (4,)")
 
     @pytest.mark.parametrize("block,extra,message", [
         # the meta block of a "multi" file gains class_names=x|y and a second

@@ -119,6 +119,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 2, column 'duration'"):
             load_csv(str(path), NSL_KDD)
 
+    def test_earlier_non_finite_cell_outranks_a_later_unparseable_one(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        write_nsl_csv(path, [("normal", "20", {0: "nan"}), ("normal", "20", None),
+                             ("normal", "20", {0: "oops"})])
+        with pytest.raises(DataError) as e:
+            load_csv(str(path), NSL_KDD)
+        assert str(e.value) == f"{path} row 1, column 'duration': non-finite numeric cell nan"
+
     @pytest.mark.parametrize("cell", ["oops", "nan"])
     def test_rows_are_counted_per_file(self, tmp_path, nsl_file, cell):
         second = tmp_path / "kdd2.csv"
@@ -137,17 +145,16 @@ class TestLoadCsv:
 
 
 def reference_load_csv(path, schema, paths_extra=()):
-    """`load_csv` row by row: every cell of a row is parsed before the next
-    row is read. The block parser must give the same table or error."""
+    """`load_csv` row by row: every cell of a row is parsed and checked for
+    finiteness before the next row is read. The block parser must give the
+    same table or error."""
     names = [n for n, _ in schema.columns]
     kinds = dict(schema.columns)
     expected = len(names)
     columns = {n: [] for n, k in schema.columns if k in (NUMERIC, CATEGORICAL)}
     label_values = []
     aliases = schema.label_aliases
-    starts = []
     for p in (path, *paths_extra):
-        starts.append((p, len(label_values)))
         row_no = 0
         try:
             fh = open(p, newline="", encoding="utf-8")
@@ -187,23 +194,20 @@ def reference_load_csv(path, schema, paths_extra=()):
                         columns[name].append(cell.strip())
                     else:
                         try:
-                            columns[name].append(float(cell))
+                            value = float(cell)
                         except ValueError:
                             raise DataError(
                                 f"{p} row {row_no}, column {name!r}: "
                                 f"unparseable numeric cell {cell!r}") from None
+                        if not np.isfinite(value):
+                            raise DataError(f"{p} row {row_no}, column {name!r}: "
+                                            f"non-finite numeric cell {value!r}")
+                        columns[name].append(value)
         if row_no == 0:
             raise DataError(f"{p}: no data rows")
     for name, kind in schema.columns:
         if kind == NUMERIC:
-            col = np.asarray(columns[name], dtype=np.float64)
-            finite = np.isfinite(col)
-            if not finite.all():
-                i = int(np.argmin(finite))
-                p, start = next((p, start) for p, start in reversed(starts) if start <= i)
-                raise DataError(f"{p} row {i - start + 1}, column {name!r}: "
-                                f"non-finite numeric cell {float(col[i])!r}")
-            columns[name] = col
+            columns[name] = np.asarray(columns[name], dtype=np.float64)
         elif kind == CATEGORICAL:
             columns[name] = coded(columns[name])
     return RawTable(schema=schema, columns=columns, labels=coded(label_values))
