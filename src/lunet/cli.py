@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 stdout closed before all output was written,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -272,17 +273,26 @@ def write_report(cfg: RunConfig, cms: list):
         aggregate=aggregate_folds([ms for _, ms, _ in per_fold]),
         per_class=per_class_metrics(replace(cms[0], counts=sum(cm.counts for cm in cms))))
     jsonl = render_report(report, "json-lines")
-    with open(os.path.join(cfg.output_dir, "report.jsonl"), "w", encoding="utf-8") as fh:
-        fh.write(jsonl)
-    with open(os.path.join(cfg.output_dir, "report.csv"), "w", encoding="utf-8") as fh:
-        fh.write(render_report(report, "csv"))
-    for fold, cm in enumerate(cms):
-        path = os.path.join(cfg.output_dir, f"confusion_fold{fold}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(confusion_csv(cm))
+    files = {"report.jsonl": jsonl, "report.csv": render_report(report, "csv")}
+    files.update((f"confusion_fold{fold}.csv", confusion_csv(cm))
+                 for fold, cm in enumerate(cms))
+    for name, text in files.items():
+        path = os.path.join(cfg.output_dir, name)
+        with _writing(path), open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     # machine-parseable first, pretty afterwards
     print(jsonl, end="")
     print(render_report(report, "pretty-table"), end="")
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Write file `path` in the body: an OSError there is a config error
+    naming the file, as for a directory that cannot be made."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _make_dirs(*paths: str):
@@ -311,8 +321,9 @@ def cmd_train(cfg: RunConfig) -> int:
     if os.path.isdir(ckpt_path):
         raise ConfigError(f"checkpoint path is a directory: {ckpt_path}")
     ((table, model, mean, std, cm),) = _folds(cfg, TRAIN_FOLDS, 1)
-    save_checkpoint(ckpt_path, model, mean, std, table.class_names,
-                    table.encoded_columns, cfg.task)
+    with _writing(ckpt_path):
+        save_checkpoint(ckpt_path, model, mean, std, table.class_names,
+                        table.encoded_columns, cfg.task)
     write_report(cfg, [cm])
     return EXIT_OK
 

@@ -73,7 +73,8 @@ class RmsProp:
 
     A step takes each gradient out of its layer's `grads`, so afterwards no
     layer holds one. A step that leaves a parameter with a non-finite entry
-    raises FloatingPointError naming the tensor."""
+    raises FloatingPointError naming the tensor, or, where a parameter was
+    already non-finite before the step, that one."""
 
     def __init__(self, config: RmsPropConfig | None = None):
         self.config = config or RmsPropConfig()
@@ -98,7 +99,11 @@ class RmsProp:
             np.divide(g, upd, out=upd)
             value -= upd
             if not np.isfinite(value).all():
-                raise FloatingPointError(f"non-finite parameter {name} after an RMSprop step")
+                # every parameter before this one was checked finite, so one
+                # that is not finite now was not before the step either
+                name, when = next(((n, "before") for n, _, _, v in model.named_params()
+                                   if n != name and not np.isfinite(v).all()), (name, "after"))
+                raise FloatingPointError(f"non-finite parameter {name} {when} an RMSprop step")
 
 
 def iter_batches(n: int, tc: TrainConfig, epoch: int):

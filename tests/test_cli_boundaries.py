@@ -1,10 +1,11 @@
 """Command line boundaries: the settings table, bad train, float and synthetic
-settings, output paths that cannot be made, mismatched evaluation columns or
-classes, non-finite, non-UTF-8 or oversized CSV cells, corrupt or
-inconsistent checkpoints and non-finite parameters each end in their
-documented exit code."""
+settings, output paths that cannot be made, output files that cannot be
+written, mismatched evaluation columns or classes, non-finite, non-UTF-8 or
+oversized CSV cells, corrupt or inconsistent checkpoints and non-finite
+parameters each end in their documented exit code."""
 
 import csv
+import os
 import struct
 import warnings
 from dataclasses import fields
@@ -269,6 +270,27 @@ def test_infinite_weight_exits_4_naming_the_layer(tmp_path, monkeypatch, capsys)
     assert not (tmp_path / "model.lunet").exists()
 
 
+def test_weight_non_finite_before_a_step_exits_4_naming_it(tmp_path, monkeypatch, capsys):
+    from lunet import model as model_mod
+
+    def inf_build(spec, init_rng=None):
+        model = build(spec, init_rng)
+        params = {name: value for name, _, _, value in model.named_params()}
+        params["level0.bn.gamma"][0] = np.inf
+        return model
+
+    monkeypatch.setattr(model_mod, "build", inf_build)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--dataset", "synthetic", "--levels", "4", "--epochs", "1",
+                     "--output-dir", str(tmp_path)])
+    assert code == EXIT_NUMERIC
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        "numeric failure: fold 0: epoch 1, batch 1: "
+        "non-finite parameter level0.bn.gamma before an RMSprop step\n")
+
+
 @pytest.mark.parametrize("command,flag,path,message", [
     ("crossval", "--output-dir", "taken", "cannot create directory {}: "),
     ("train", "--output-dir", "taken", "cannot create directory {}: "),
@@ -290,6 +312,22 @@ def test_unusable_output_path_exits_2_before_any_work(nsl_run, tmp_path, capsys,
     out, err = capsys.readouterr()
     assert err.startswith("config error: " + message.format(tmp_path / path.split("/")[0]))
     assert "Traceback" not in err and out == ""  # no epoch line: nothing trained
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes to /dev/full")
+def test_checkpoint_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys):
+    assert main(["train", "--dataset", "synthetic", "--levels", "4", "--epochs", "1",
+                 "--output-dir", str(tmp_path), "--checkpoint", "/dev/full"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: cannot write /dev/full: No space left on device\n")
+
+
+def test_report_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "report.jsonl").mkdir()
+    assert main(["crossval", "--dataset", "synthetic", "--levels", "4", "--epochs", "1",
+                 "--folds", "2", "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {tmp_path / 'report.jsonl'}: Is a directory\n")
 
 
 def test_checkpoint_directory_is_created(tmp_path):
