@@ -122,11 +122,13 @@ def test_infer_forward_hands_the_worker_its_blocks_alone(monkeypatch, rows):
     assert callers == (["lunet.model"] if rows >= 16 else [])
 
 
+@pytest.mark.slow
 def test_shared_forward_is_bitwise_an_inline_one():
     mismatch = shared_mismatch()
     assert mismatch is None, f"first differing case: {mismatch}"
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                     reason="needs a process that may run on 2 CPUs")
 def test_shared_forward_is_bitwise_an_inline_one_at_one_blas_thread():
